@@ -178,14 +178,14 @@ def _cmd_analyze(args) -> int:
         "span_dim": span.dim,
         "complement_dim": povm.dim ** 2 - span.dim,
         "validation": _validation_dict(pv.validate(povm)),
-        "ic": pv.is_ic(povm),
+        "ic": span.dim == povm.dim ** 2,
     }
     summary = f"{args.file}: span {span.dim}/{povm.dim ** 2}, ic={verdicts['ic']}"
     if args.pic:
         settings = pv.FalsifierSettings(
             restarts=args.falsifier_restarts, rng_seed=args.rng_seed
         )
-        verdict = pv.check_pic(povm, settings)
+        verdict = pv._pic_verdict(span, settings)
         verdicts["pic"] = _verdict_dict(verdict)
         summary += f", pic={verdict.status}"
     report = Report(

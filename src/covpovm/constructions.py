@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     UnknownDimensionError,
 )
-from .linalg import hs_norm, numerical_rank
+from .linalg import hs_norm, numerical_rank, psd_defects
 
 # Known minimal outcome counts for observables identifying all pure states,
 # dimensions 2-15.  Entries with two values are unresolved ranges.
@@ -263,7 +263,7 @@ def check_pic3_conditions(params: Pic3Params):
     else:
         raise DomainError(f"unknown group choice {params.group_choice!r}")
     seed = pic3_seed_matrix(params)
-    low = float(np.linalg.eigvalsh(seed)[0])
+    _, low = psd_defects(seed)
     if low < -pv.PSD_TOL:
         raise PreconditionError(
             "cond:3", f"seed has negative eigenvalue {low:.3e}"

@@ -4,7 +4,10 @@ Matrices are plain ``numpy.ndarray`` with complex entries.  Operators on a
 d-dimensional Hilbert space live in the d*d matrix space equipped with the
 Hilbert-Schmidt inner product ``<A, B> = tr(A^dag B)``, conjugate-linear in
 the first argument.  Subspaces of that operator space are carried around as
-HS-orthonormal bases (:class:`OperatorSubspace`).
+HS-orthonormal bases (:class:`OperatorSubspace`) stored as one ``(k, d, d)``
+array, so coordinates and projections are single matrix products.  Every rank
+decision, spans included, counts singular values with one rule (:func:`_rank`);
+spans come from the SVD of the stacked operators, not from their Gram matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ ZERO_ATOL = 1e-12
 
 # Scale-aware comparison threshold for scalars (multipliers, probabilities).
 SCALAR_RTOL = 1e-9
+
+# Absolute tolerances for effects, states and seeds: the HS norm of the
+# anti-Hermitian part, and how far below zero the smallest eigenvalue may sit.
+HERM_ATOL = 1e-9
+PSD_TOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -79,6 +87,29 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1], vecs[:, ::-1]
 
 
+def psd_defects(a) -> tuple[float, float]:
+    """HS norm of a - a^dag, and the smallest eigenvalue of a's Hermitian part."""
+    a = np.asarray(a)
+    low = float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
+    return hs_norm(a - a.conj().T), low
+
+
+def require_psd(a, what: str) -> None:
+    """Reject a unless it is Hermitian and positive semidefinite within tolerance."""
+    defect, low = psd_defects(a)
+    if defect > HERM_ATOL:
+        raise DomainError(f"{what} is not Hermitian")
+    if low < -PSD_TOL:
+        raise DomainError(f"{what} is not positive semidefinite")
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """The rank rule, applied to singular values sorted in descending order."""
+    if s.size == 0 or s[0] <= ZERO_ATOL:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
 def numerical_rank(a, tol: float = RANK_RTOL) -> int:
     """Count of singular values above tol * (largest singular value).
 
@@ -86,30 +117,32 @@ def numerical_rank(a, tol: float = RANK_RTOL) -> int:
     """
     if tol < 0:
         raise DomainError("tolerance must be nonnegative")
-    a = np.asarray(a, dtype=complex)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] <= ZERO_ATOL:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return _rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False), tol)
 
 
 @dataclass(frozen=True)
 class OperatorSubspace:
-    """Subspace of the d*d operator space, held as an HS-orthonormal basis."""
+    """Subspace of the d*d operator space, held as a (k, d, d) HS-orthonormal basis."""
 
     dim_h: int
-    basis: list = field(default_factory=list)
+    basis: np.ndarray = field(default_factory=list)
     tol: float = RANK_RTOL
 
     def __post_init__(self):
-        for b in self.basis:
-            if b.shape != (self.dim_h, self.dim_h):
-                raise ShapeError(
-                    f"basis element of shape {b.shape} in dimension {self.dim_h}"
-                )
-        gram = np.array([[hs_inner(x, y) for y in self.basis] for x in self.basis])
-        if gram.size and np.abs(gram - np.eye(len(self.basis))).max() > 1e-7:
+        d = self.dim_h
+        basis = np.asarray(self.basis, dtype=complex)
+        if basis.size == 0:
+            basis = basis.reshape(0, d, d)
+        if basis.ndim != 3 or basis.shape[1:] != (d, d):
+            raise ShapeError(f"basis of shape {basis.shape} in dimension {d}")
+        object.__setattr__(self, "basis", np.ascontiguousarray(basis))
+        flat = self._flat
+        if np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max(initial=0.0) > 1e-7:
             raise DomainError("basis is not HS-orthonormal")
+
+    @property
+    def _flat(self) -> np.ndarray:
+        return self.basis.reshape(len(self.basis), self.dim_h ** 2)
 
     @property
     def dim(self) -> int:
@@ -117,14 +150,14 @@ class OperatorSubspace:
 
     def coefficients(self, m) -> np.ndarray:
         """HS coordinates of m with respect to the basis."""
-        return np.array([hs_inner(b, m) for b in self.basis])
+        m = np.asarray(m)
+        if m.shape != (self.dim_h, self.dim_h):
+            raise ShapeError(f"expected a {self.dim_h}x{self.dim_h} matrix, got {m.shape}")
+        return self._flat.conj() @ m.reshape(-1)
 
     def project(self, m) -> np.ndarray:
         """Orthogonal projection of m onto the subspace."""
-        out = np.zeros((self.dim_h, self.dim_h), dtype=complex)
-        for c, b in zip(self.coefficients(m), self.basis):
-            out += c * b
-        return out
+        return (self.coefficients(m) @ self._flat).reshape(self.dim_h, self.dim_h)
 
     def contains(self, m, tol: float = 1e-9) -> bool:
         m = as_matrix(m)
@@ -134,46 +167,23 @@ class OperatorSubspace:
 def span_orthonormalize(mats, tol: float = RANK_RTOL) -> OperatorSubspace:
     """HS-orthonormal basis of the span of the given matrices.
 
-    Uses an eigendecomposition of the Gram matrix rather than sequential
-    Gram-Schmidt; near-dependent families then shed their null directions in
-    one numerically stable step.
+    The right singular vectors of the stacked, flattened matrices that pass
+    the rank rule form the basis; the rest are roundoff directions.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
         raise DomainError("cannot take the span of an empty family")
     d = require_square(mats[0])
-    for m in mats:
-        if m.shape != (d, d):
-            raise ShapeError("matrices in a span must share one square shape")
-    gram = np.array([[hs_inner(x, y) for y in mats] for x in mats])
-    vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-    top = vals[-1] if vals.size else 0.0
-    if top <= ZERO_ATOL:
-        return OperatorSubspace(d, [], tol)
-    basis = []
-    for k in range(len(mats)):
-        if vals[k] > tol * top:
-            b = np.zeros((d, d), dtype=complex)
-            for i, m in enumerate(mats):
-                b += vecs[i, k] * m
-            basis.append(b / np.sqrt(vals[k]))
-    return OperatorSubspace(d, basis, tol)
+    if any(m.shape != (d, d) for m in mats):
+        raise ShapeError("matrices in a span must share one square shape")
+    _, s, vh = np.linalg.svd(np.reshape(mats, (len(mats), d * d)), full_matrices=False)
+    r = _rank(s, tol)
+    return OperatorSubspace(d, vh[:r].reshape(r, d, d), tol)
 
 
 def orthogonal_complement(s: OperatorSubspace) -> OperatorSubspace:
     """HS-orthogonal complement, so that dim(s) + dim(result) = d^2."""
     d = s.dim_h
-    if s.dim == 0:
-        units = []
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                units.append(e)
-        return OperatorSubspace(d, units, s.tol)
-    rows = np.array([b.reshape(-1).conj() for b in s.basis])
-    _, _, vh = np.linalg.svd(rows, full_matrices=True)
-    comp = [vh[k].conj().reshape(d, d) for k in range(s.dim, d * d)]
-    # vh rows are orthonormal in the plain inner product; conjugation keeps
-    # them HS-orthonormal as matrices and orthogonal to every basis element.
-    return OperatorSubspace(d, comp, s.tol)
+    # right singular vectors past the first k are HS-orthogonal to the basis
+    _, _, vh = np.linalg.svd(s._flat, full_matrices=True)
+    return OperatorSubspace(d, vh[s.dim:].reshape(d * d - s.dim, d, d), s.tol)

@@ -19,16 +19,9 @@ from . import group as grp
 from . import rep as rp
 from .errors import DomainError, InconsistencyError, NotAnObservableError
 from .linalg import (
-    OperatorSubspace,
-    as_matrix,
-    hermitian_eig,
-    hs_norm,
-    numerical_rank,
-    orthogonal_complement,
-    span_orthonormalize,
+    HERM_ATOL, PSD_TOL, OperatorSubspace, as_matrix, hermitian_eig, hs_norm, numerical_rank,
+    orthogonal_complement, psd_defects, require_psd, span_orthonormalize,
 )
-
-PSD_TOL = 1e-9
 
 PIC_CERTIFIED = "PIC_certified"
 PIC_UNFALSIFIED = "PIC_unfalsified"
@@ -73,7 +66,7 @@ class PovmValidation:
     @property
     def passed(self) -> bool:
         return (
-            self.hermiticity_defect <= 1e-9
+            self.hermiticity_defect <= HERM_ATOL
             and self.min_eigenvalue >= -PSD_TOL
             and self.normalization_defect <= 1e-9
         )
@@ -86,11 +79,9 @@ def validate(povm: Povm) -> PovmValidation:
     worst = None
     total = np.zeros((povm.dim, povm.dim), dtype=complex)
     for label, op in povm.outcomes:
-        defect = hs_norm(op - op.conj().T)
+        defect, low = psd_defects(op)
         if defect > herm:
             herm, worst = defect, label
-        sym = (op + op.conj().T) / 2
-        low = float(np.linalg.eigvalsh(sym)[0])
         if low < min_eig:
             min_eig = low
             if low < -PSD_TOL:
@@ -114,10 +105,7 @@ def born_probabilities(povm: Povm, state) -> np.ndarray:
     rho = as_matrix(state)
     if rho.shape != (povm.dim, povm.dim):
         raise DomainError("state dimension mismatch")
-    if hs_norm(rho - rho.conj().T) > 1e-9:
-        raise DomainError("state is not Hermitian")
-    if float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]) < -PSD_TOL:
-        raise DomainError("state is not positive semidefinite")
+    require_psd(rho, "state")
     if abs(np.trace(rho) - 1) > 1e-9:
         raise DomainError("state does not have unit trace")
     probs = np.array([np.trace(rho @ op).real for op in povm.ops])
@@ -139,10 +127,7 @@ def build_covariant(rep: rp.ProjectiveRep, cosets: grp.CosetSpace, seed) -> Povm
     d = rep.dim
     if seed.shape != (d, d):
         raise DomainError("seed dimension mismatch")
-    if hs_norm(seed - seed.conj().T) > 1e-9 * max(1.0, hs_norm(seed)):
-        raise DomainError("seed is not Hermitian")
-    if float(np.linalg.eigvalsh((seed + seed.conj().T) / 2)[0]) < -PSD_TOL:
-        raise DomainError("seed is not positive semidefinite")
+    require_psd(seed, "seed")
     if cosets.parent is not rep.group:
         raise DomainError("coset space belongs to a different group")
     for h in cosets.subgroup.members:
@@ -364,8 +349,12 @@ def check_pic(povm: Povm, settings: FalsifierSettings | None = None) -> PicVerdi
     decomposition.  For larger complements the falsifier searches for a
     witness; failure to find one is reported as unfalsified, not as a proof.
     """
-    span = operator_span(povm)
-    comp_dim = povm.dim ** 2 - span.dim
+    return _pic_verdict(operator_span(povm), settings)
+
+
+def _pic_verdict(span: OperatorSubspace, settings: FalsifierSettings | None) -> PicVerdict:
+    """The decision of :func:`check_pic`, taken on an already computed span."""
+    comp_dim = span.dim_h ** 2 - span.dim
     if comp_dim == 0:
         return PicVerdict(PIC_CERTIFIED, 0)
     if comp_dim == 1:

@@ -17,6 +17,12 @@ S3 = np.array([[1, 0], [0, -1]], dtype=complex)
 T_OPERATOR = np.diag([2.0, -1.0, -1.0]).astype(complex)
 
 
+def haar_unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def wh_matrices(d):
     """Shift/clock displacement matrices W(j, k) = U^j V^k, (j, k) row-major."""
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)

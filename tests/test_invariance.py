@@ -1,0 +1,69 @@
+"""Span dimension and PIC verdict do not depend on how an observable is presented.
+
+Conjugating every effect by one unitary maps the span onto a unitarily
+equivalent subspace, and permuting the outcomes leaves the span itself alone;
+neither may move the span dimension or the PIC verdict.  The observables are
+the ones decided exactly (complement of dimension 0 or 1), so no falsifier
+search runs.
+"""
+
+import functools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covpovm import constructions as cx
+from covpovm import povm as pv
+
+from support import haar_unitary, planted_witness_povm
+
+NAMES = ["wh2", "wh3", "wh4", "wh5", "quat3", "dihedral3", "planted3", "planted4"]
+SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+@functools.cache
+def observable(name):
+    if name.startswith("wh"):
+        d = int(name[2:])
+        params = cx.WhParams(d, cx.default_wh_seed(d, 7), require_ic=True)
+        povm, _ = cx.build_weyl_heisenberg(params)
+    elif name == "quat3":
+        povm, _, _ = cx.build_quat3_pic()
+    elif name == "dihedral3":
+        povm, _, _ = cx.build_dihedral3_pic()
+    else:
+        povm, _, _ = planted_witness_povm(int(name[-1]), np.random.default_rng(5))
+    return povm, pv.operator_span(povm).dim, pv.check_pic(povm)
+
+
+def assert_same_analysis(name, moved):
+    _, span_dim, verdict = observable(name)
+    assert pv.operator_span(moved).dim == span_dim
+    again = pv.check_pic(moved)
+    assert (again.status, again.complement_dim) == (verdict.status, verdict.complement_dim)
+
+
+def test_panel_is_decided_on_the_exact_paths():
+    for name in NAMES:
+        _, _, verdict = observable(name)
+        assert verdict.complement_dim <= 1
+        assert verdict.status != pv.PIC_UNFALSIFIED
+
+
+@SETTINGS
+@given(name=st.sampled_from(NAMES), seed=st.integers(0, 2**32 - 1))
+def test_unitary_conjugation_keeps_span_and_verdict(name, seed):
+    povm, _, _ = observable(name)
+    u = haar_unitary(povm.dim, np.random.default_rng(seed))
+    moved = pv.Povm(povm.dim, [(x, u @ op @ u.conj().T) for x, op in povm.outcomes])
+    assert_same_analysis(name, moved)
+
+
+@SETTINGS
+@given(name=st.sampled_from(NAMES), data=st.data())
+def test_outcome_permutation_keeps_span_and_verdict(name, data):
+    povm, _, _ = observable(name)
+    order = data.draw(st.permutations(range(len(povm))))
+    moved = pv.Povm(povm.dim, [povm.outcomes[i] for i in order])
+    assert_same_analysis(name, moved)

@@ -4,16 +4,12 @@ import pytest
 from covpovm import linalg
 from covpovm.errors import DomainError, ShapeError
 
+from support import haar_unitary
+
 I2 = np.eye(2, dtype=complex)
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def haar_unitary(d, rng):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_hermitian(d, rng):
@@ -137,6 +133,96 @@ class TestSpanOrthonormalize:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             linalg.span_orthonormalize([I2, np.eye(3)])
+
+
+class TestOneRankRule:
+    """span_orthonormalize and numerical_rank of the stacked operators agree."""
+
+    @staticmethod
+    def stacked_rank(mats):
+        return linalg.numerical_rank(np.reshape(mats, (len(mats), -1)))
+
+    def near_dependent_family(self, eps, rng):
+        # 8 generic Hermitian 3x3 operators and a ninth at distance eps from
+        # their span, along a unit direction orthogonal to it
+        mats = [random_hermitian(3, rng) for _ in range(8)]
+        off = linalg.orthogonal_complement(linalg.span_orthonormalize(mats)).basis[0]
+        mix = sum(c * m for c, m in zip(rng.standard_normal(8), mats))
+        return mats + [mix + eps * off]
+
+    def test_operator_within_1e5_of_the_span_counts(self):
+        mats = self.near_dependent_family(1e-5, np.random.default_rng(31))
+        assert self.stacked_rank(mats) == 9
+        assert linalg.span_orthonormalize(mats).dim == 9
+
+    def test_agreement_across_the_tolerance(self):
+        rng = np.random.default_rng(37)
+        for eps in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
+            mats = self.near_dependent_family(eps, rng)
+            assert linalg.span_orthonormalize(mats).dim == self.stacked_rank(mats)
+
+    def test_random_low_rank_families(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            d = int(rng.integers(2, 6))
+            r = int(rng.integers(1, d * d + 1))
+            gens = [random_hermitian(d, rng) * 10.0 ** rng.uniform(-3, 3) for _ in range(r)]
+            n = int(rng.integers(r, d * d + 3))
+            coef = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            mats = list(np.einsum("nr,rij->nij", coef, np.array(gens)))
+            assert linalg.span_orthonormalize(mats).dim == self.stacked_rank(mats) == r
+
+
+class TestOperatorSubspaceArray:
+    def test_basis_is_one_array_of_matrices(self):
+        s = linalg.span_orthonormalize([I2, S1, S3])
+        assert isinstance(s.basis, np.ndarray)
+        assert s.basis.shape == (3, 2, 2)
+        assert all(b.shape == (2, 2) for b in s.basis)
+
+    def test_empty_subspace(self):
+        s = linalg.OperatorSubspace(3)
+        assert s.dim == 0
+        assert np.array_equal(s.project(np.eye(3)), np.zeros((3, 3)))
+
+    def test_matches_the_hs_inner_loop(self):
+        rng = np.random.default_rng(43)
+        for d in (2, 3, 5):
+            mats = [random_hermitian(d, rng) for _ in range(d + 1)]
+            s = linalg.span_orthonormalize(mats)
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            coef = np.array([linalg.hs_inner(b, m) for b in s.basis])
+            proj = sum(c * b for c, b in zip(coef, s.basis))
+            assert np.abs(s.coefficients(m) - coef).max() < 1e-12 * np.linalg.norm(m)
+            assert np.abs(s.project(m) - proj).max() < 1e-12 * np.linalg.norm(m)
+
+    def test_non_orthonormal_basis_rejected(self):
+        with pytest.raises(DomainError):
+            linalg.OperatorSubspace(2, [I2, S1])
+
+    def test_wrong_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            linalg.OperatorSubspace(2, np.eye(3)[None] / np.sqrt(3))
+        s = linalg.span_orthonormalize([I2])
+        with pytest.raises(ShapeError):
+            s.project(np.eye(3))
+
+
+class TestHermitianPsdCheck:
+    def test_defects_of_a_projector(self):
+        defect, low = linalg.psd_defects(np.diag([1.0, 0.0]))
+        assert defect == 0.0 and low == pytest.approx(0.0)
+
+    def test_tolerances_are_absolute(self):
+        # a large PSD matrix with a 1e-8 antihermitian part is rejected, as a
+        # small one is: the hermiticity bound does not scale with the norm
+        big = 1e6 * np.eye(2, dtype=complex)
+        big[0, 1] = 1e-8j
+        with pytest.raises(DomainError, match="Hermitian"):
+            linalg.require_psd(big, "seed")
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            linalg.require_psd(np.diag([1.0, -1e-8]), "state")
+        linalg.require_psd(np.diag([1.0, -1e-10]), "state")
 
 
 class TestOrthogonalComplement:
