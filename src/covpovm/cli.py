@@ -170,14 +170,14 @@ def _cmd_analyze(args) -> int:
         raise CovPovmError(
             f"{args.file} is not valid JSON: line {exc.lineno}, column {exc.colno}"
         ) from exc
-    povm = pv.povm_from_json(doc)
+    povm, validation = pv._read_povm(doc)
     span = pv.operator_span(povm)
     verdicts: dict = {
         "dim": povm.dim,
         "outcomes": len(povm),
         "span_dim": span.dim,
         "complement_dim": povm.dim ** 2 - span.dim,
-        "validation": _validation_dict(pv.validate(povm)),
+        "validation": _validation_dict(validation),
         "ic": span.dim == povm.dim ** 2,
     }
     summary = f"{args.file}: span {span.dim}/{povm.dim ** 2}, ic={verdicts['ic']}"
@@ -193,10 +193,8 @@ def _cmd_analyze(args) -> int:
         inputs={
             "file": args.file,
             "pic": args.pic,
-            "ic": args.ic,
             "rng_seed": args.rng_seed,
             "falsifier_restarts": args.falsifier_restarts,
-            "jobs": args.jobs,
         },
         verdicts=verdicts,
         provenance={"source": args.file},
@@ -317,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="build an observable and write it to a file")
     c.add_argument("kind", choices=["wh", "quat3", "dihedral3", "rank1"])
     c.add_argument("-o", "--out", required=True, help="output POVM JSON path")
-    c.add_argument("--default", action="store_true", help="use default parameters")
     c.add_argument("--dim", type=int, default=None, help="dimension (wh only)")
     c.add_argument("--rng-seed", type=int, default=0)
     c.add_argument("--mixed", action="store_true",
@@ -334,11 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="analyze a POVM file")
     a.add_argument("file")
     a.add_argument("--pic", action="store_true", help="run the pure-state analysis")
-    a.add_argument("--ic", action="store_true", help="report informational completeness")
     a.add_argument("--rng-seed", type=int, default=0)
     a.add_argument("--falsifier-restarts", type=int, default=64)
-    a.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; restarts run sequentially")
     a.set_defaults(func=_cmd_analyze)
 
     g = sub.add_parser("group", help="inspect a group and its representations")

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     UnknownDimensionError,
 )
-from .linalg import hs_norm, numerical_rank, psd_defects
+from .linalg import ATOL, ZERO_ATOL, hs_norm, numerical_rank, psd_defects
 
 # Known minimal outcome counts for observables identifying all pure states,
 # dimensions 2-15.  Entries with two values are unresolved ranges.
@@ -140,12 +140,12 @@ def build_weyl_heisenberg(params: WhParams):
     seed = np.asarray(params.seed, dtype=complex)
     if seed.shape != (d, d):
         raise DomainError(f"seed shape {seed.shape} in dimension {d}")
-    if abs(np.trace(seed) - 1.0 / d) > 1e-9:
+    if abs(np.trace(seed) - 1.0 / d) > ATOL:
         raise DomainError(f"seed trace must be 1/{d}, got {np.trace(seed):.6g}")
     rep = wh_rep(d)
     if params.require_ic:
         for idx, w in enumerate(rep.matrices):
-            if abs(np.trace(seed @ w)) <= 1e-9:
+            if abs(np.trace(seed @ w)) <= ATOL:
                 label = rep.group.names[idx]
                 raise DomainError(f"seed is orthogonal to displacement {label}")
     cosets = grp.coset_space(rep.group, grp.subgroup_generated(rep.group, []))
@@ -167,7 +167,7 @@ def default_wh_seed(d: int, rng_seed: int) -> np.ndarray:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
         seed = np.outer(v, v.conj()) / d
-        if all(abs(np.trace(seed @ w)) > 1e-9 for w in displacements):
+        if all(abs(np.trace(seed @ w)) > ATOL for w in displacements):
             return seed
     raise ConstructionError("no admissible seed found in 1000 draws")
 
@@ -264,7 +264,7 @@ def check_pic3_conditions(params: Pic3Params):
         raise DomainError(f"unknown group choice {params.group_choice!r}")
     seed = pic3_seed_matrix(params)
     _, low = psd_defects(seed)
-    if low < -pv.PSD_TOL:
+    if low < -ATOL:
         raise PreconditionError(
             "cond:3", f"seed has negative eigenvalue {low:.3e}"
         )
@@ -308,7 +308,7 @@ def rank1_seed(gamma: float, alpha) -> np.ndarray:
     nonzero; gamma is a free phase.
     """
     a1, a2, a3 = alpha
-    if abs(a1 ** 2 + a2 ** 2 + a3 ** 2 - 1 / 64) > 1e-12:
+    if abs(a1 ** 2 + a2 ** 2 + a3 ** 2 - 1 / 64) > ZERO_ATOL:
         raise DomainError("alpha must satisfy a1^2 + a2^2 + a3^2 = 1/64")
     if a1 == 0 or a2 == 0 or a3 == 0:
         raise DomainError("every alpha component must be nonzero")
@@ -320,7 +320,7 @@ def rank1_seed(gamma: float, alpha) -> np.ndarray:
         [eg * (a1 + 1j * a2) / root, a1 + 1j * a2, 1 / 8 - a3],
     ])
     defect = hs_norm(m @ m - (3 / 8) * m)
-    if defect > 1e-10 or numerical_rank(m) != 1:
+    if defect > ATOL or numerical_rank(m) != 1:
         raise InconsistencyError(f"rank-1 seed failed its identity (defect {defect:.2e})")
     return m
 

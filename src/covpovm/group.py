@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .linalg import ZERO_ATOL
 
 _S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -30,7 +31,7 @@ DIHEDRAL8_MATRICES = (
     _I2, -_I2, 1j * _S1, -1j * _S1, _S2, -_S2, _S3, -_S3,
 )
 
-# Associativity validation is O(n^3); beyond this order it becomes opt-in.
+# Associativity validation is O(n^3); beyond this order it is skipped.
 ASSOCIATIVITY_CHECK_LIMIT = 64
 
 
@@ -47,7 +48,6 @@ class FiniteGroup:
     names: tuple
     mul: np.ndarray
     kind: str | None = None
-    check_associativity: bool | None = None
     identity: int = field(init=False)
     inverse: np.ndarray = field(init=False)
 
@@ -68,10 +68,7 @@ class FiniteGroup:
         if len(idents) != 1:
             raise DomainError("table has no (or no unique) two-sided identity")
         self.identity = idents[0]
-        do_assoc = self.check_associativity
-        if do_assoc is None:
-            do_assoc = n <= ASSOCIATIVITY_CHECK_LIMIT
-        if do_assoc:
+        if n <= ASSOCIATIVITY_CHECK_LIMIT:
             ab = self.mul
             # mul[ab][a,b,c] = (ab)c and mul[:, ab][a,b,c] = a(bc)
             if not np.all(self.mul[ab, :] == self.mul[:, ab]):
@@ -219,7 +216,7 @@ def _group_from_matrices(names, matrices, kind) -> FiniteGroup:
     for a in range(n):
         for b in range(n):
             prod = matrices[a] @ matrices[b]
-            hits = [c for c in range(n) if np.abs(prod - matrices[c]).max() < 1e-12]
+            hits = [c for c in range(n) if np.abs(prod - matrices[c]).max() < ZERO_ATOL]
             if len(hits) != 1:
                 raise DomainError("matrix set is not closed under the product")
             table[a, b] = hits[0]

@@ -18,20 +18,23 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-# Relative threshold on singular/eigenvalue spectra when deciding ranks, with
-# an absolute floor that declares a matrix zero outright.  Entries of the
-# operators handled here are of order 1/d, so 1e-9 cleanly separates genuine
-# rank gaps from roundoff up to d ~ 16.
+# The tolerance policy of the package; no other module carries a threshold.
+#
+# Ranks: singular values count when above RANK_RTOL times the largest one, and
+# a matrix whose largest singular value is at most ZERO_ATOL has rank 0.
+# Entries of the operators handled here are of order 1/d, so 1e-9 cleanly
+# separates genuine rank gaps from roundoff up to d ~ 16.
 RANK_RTOL = 1e-9
 ZERO_ATOL = 1e-12
 
-# Scale-aware comparison threshold for scalars (multipliers, probabilities).
-SCALAR_RTOL = 1e-9
+# Identities that hold exactly in exact arithmetic: hermiticity, positivity,
+# normalization, unitarity, product-rule residuals, commutation, idempotence.
+ATOL = 1e-9
 
-# Absolute tolerances for effects, states and seeds: the HS norm of the
-# anti-Hermitian part, and how far below zero the smallest eigenvalue may sit.
-HERM_ATOL = 1e-9
-PSD_TOL = 1e-9
+# Values recovered by a division or a decomposition: unimodularity, the cocycle
+# identity, derived orthonormal bases, subspace intersections, multiplicities,
+# eigenvalue clustering.
+PHASE_ATOL = 1e-7
 
 
 def as_matrix(a) -> np.ndarray:
@@ -48,11 +51,6 @@ def require_square(a: np.ndarray) -> int:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     return a.shape[0]
-
-
-def scalars_close(x: complex, y: complex, rtol: float = SCALAR_RTOL) -> bool:
-    """|x - y| <= rtol * max(1, |x|, |y|)."""
-    return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
 
 
 def hs_inner(a, b) -> complex:
@@ -73,14 +71,14 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in descending order and the matching orthonormal
-    eigenvectors as columns.  The input is rejected if it deviates from its
-    adjoint by more than 1e-9 relative to its norm, and symmetrized before
-    the solve once it passes.
+    eigenvectors as columns.  The input is rejected if its anti-Hermitian
+    part exceeds ATOL in HS norm, and symmetrized before the solve once it
+    passes.
     """
     a = as_matrix(a)
     require_square(a)
-    defect = np.linalg.norm(a - a.conj().T)
-    if defect > SCALAR_RTOL * max(1.0, np.linalg.norm(a)):
+    defect = hs_norm(a - a.conj().T)
+    if defect > ATOL:
         raise DomainError(f"matrix is not Hermitian (defect {defect:.3e})")
     sym = (a + a.conj().T) / 2
     vals, vecs = np.linalg.eigh(sym)
@@ -97,27 +95,25 @@ def psd_defects(a) -> tuple[float, float]:
 def require_psd(a, what: str) -> None:
     """Reject a unless it is Hermitian and positive semidefinite within tolerance."""
     defect, low = psd_defects(a)
-    if defect > HERM_ATOL:
+    if defect > ATOL:
         raise DomainError(f"{what} is not Hermitian")
-    if low < -PSD_TOL:
+    if low < -ATOL:
         raise DomainError(f"{what} is not positive semidefinite")
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
+def _rank(s: np.ndarray) -> int:
     """The rank rule, applied to singular values sorted in descending order."""
     if s.size == 0 or s[0] <= ZERO_ATOL:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def numerical_rank(a, tol: float = RANK_RTOL) -> int:
-    """Count of singular values above tol * (largest singular value).
+def numerical_rank(a) -> int:
+    """Count of singular values above RANK_RTOL * (largest singular value).
 
     Rank 0 exactly when the matrix vanishes within the absolute floor.
     """
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
-    return _rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False), tol)
+    return _rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,6 @@ class OperatorSubspace:
 
     dim_h: int
     basis: np.ndarray = field(default_factory=list)
-    tol: float = RANK_RTOL
 
     def __post_init__(self):
         d = self.dim_h
@@ -137,7 +132,7 @@ class OperatorSubspace:
             raise ShapeError(f"basis of shape {basis.shape} in dimension {d}")
         object.__setattr__(self, "basis", np.ascontiguousarray(basis))
         flat = self._flat
-        if np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max(initial=0.0) > 1e-7:
+        if np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max(initial=0.0) > PHASE_ATOL:
             raise DomainError("basis is not HS-orthonormal")
 
     @property
@@ -159,12 +154,8 @@ class OperatorSubspace:
         """Orthogonal projection of m onto the subspace."""
         return (self.coefficients(m) @ self._flat).reshape(self.dim_h, self.dim_h)
 
-    def contains(self, m, tol: float = 1e-9) -> bool:
-        m = as_matrix(m)
-        return hs_norm(m - self.project(m)) <= tol * max(1.0, hs_norm(m))
 
-
-def span_orthonormalize(mats, tol: float = RANK_RTOL) -> OperatorSubspace:
+def span_orthonormalize(mats) -> OperatorSubspace:
     """HS-orthonormal basis of the span of the given matrices.
 
     The right singular vectors of the stacked, flattened matrices that pass
@@ -177,8 +168,8 @@ def span_orthonormalize(mats, tol: float = RANK_RTOL) -> OperatorSubspace:
     if any(m.shape != (d, d) for m in mats):
         raise ShapeError("matrices in a span must share one square shape")
     _, s, vh = np.linalg.svd(np.reshape(mats, (len(mats), d * d)), full_matrices=False)
-    r = _rank(s, tol)
-    return OperatorSubspace(d, vh[:r].reshape(r, d, d), tol)
+    r = _rank(s)
+    return OperatorSubspace(d, vh[:r].reshape(r, d, d))
 
 
 def orthogonal_complement(s: OperatorSubspace) -> OperatorSubspace:
@@ -186,4 +177,4 @@ def orthogonal_complement(s: OperatorSubspace) -> OperatorSubspace:
     d = s.dim_h
     # right singular vectors past the first k are HS-orthogonal to the basis
     _, _, vh = np.linalg.svd(s._flat, full_matrices=True)
-    return OperatorSubspace(d, vh[s.dim:].reshape(d * d - s.dim, d, d), s.tol)
+    return OperatorSubspace(d, vh[s.dim:].reshape(d * d - s.dim, d, d))

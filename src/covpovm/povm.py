@@ -19,7 +19,7 @@ from . import group as grp
 from . import rep as rp
 from .errors import DomainError, InconsistencyError, NotAnObservableError
 from .linalg import (
-    HERM_ATOL, PSD_TOL, OperatorSubspace, as_matrix, hermitian_eig, hs_norm, numerical_rank,
+    ATOL, OperatorSubspace, as_matrix, hermitian_eig, hs_norm, numerical_rank,
     orthogonal_complement, psd_defects, require_psd, span_orthonormalize,
 )
 
@@ -66,9 +66,9 @@ class PovmValidation:
     @property
     def passed(self) -> bool:
         return (
-            self.hermiticity_defect <= HERM_ATOL
-            and self.min_eigenvalue >= -PSD_TOL
-            and self.normalization_defect <= 1e-9
+            self.hermiticity_defect <= ATOL
+            and self.min_eigenvalue >= -ATOL
+            and self.normalization_defect <= ATOL
         )
 
 
@@ -84,7 +84,7 @@ def validate(povm: Povm) -> PovmValidation:
             herm, worst = defect, label
         if low < min_eig:
             min_eig = low
-            if low < -PSD_TOL:
+            if low < -ATOL:
                 worst = label
         total += op
     norm_defect = hs_norm(total - np.eye(povm.dim))
@@ -106,10 +106,10 @@ def born_probabilities(povm: Povm, state) -> np.ndarray:
     if rho.shape != (povm.dim, povm.dim):
         raise DomainError("state dimension mismatch")
     require_psd(rho, "state")
-    if abs(np.trace(rho) - 1) > 1e-9:
+    if abs(np.trace(rho) - 1) > ATOL:
         raise DomainError("state does not have unit trace")
     probs = np.array([np.trace(rho @ op).real for op in povm.ops])
-    probs[(probs < 0) & (probs > -PSD_TOL)] = 0.0
+    probs[(probs < 0) & (probs > -ATOL)] = 0.0
     return probs
 
 
@@ -122,6 +122,10 @@ def build_covariant(rep: rp.ProjectiveRep, cosets: grp.CosetSpace, seed) -> Povm
     subgroup, otherwise outcomes would depend on the coset representative.
     Normalization is NOT automatic: when the translates do not sum to the
     identity the deficit is attached to the raised error.
+
+    The two checks imply covariance, so it is not re-checked here: for
+    g r = r' h with h in H, U(g)U(r) M U(r)*U(g)* = U(r')U(h) M U(h)*U(r')*
+    = M(r'H), the multiplier phases cancelling under conjugation.
     """
     seed = as_matrix(seed)
     d = rep.dim
@@ -132,7 +136,7 @@ def build_covariant(rep: rp.ProjectiveRep, cosets: grp.CosetSpace, seed) -> Povm
         raise DomainError("coset space belongs to a different group")
     for h in cosets.subgroup.members:
         u = rep.matrices[h]
-        if np.abs(seed @ u - u @ seed).max() > 1e-9:
+        if np.abs(seed @ u - u @ seed).max() > ATOL:
             raise DomainError(
                 f"seed does not commute with U({rep.group.names[h]})"
             )
@@ -144,15 +148,12 @@ def build_covariant(rep: rp.ProjectiveRep, cosets: grp.CosetSpace, seed) -> Povm
         outcomes.append((rep.group.names[r], op))
         total += op
     deficit = total - np.eye(d)
-    if np.abs(deficit).max() > 1e-9:
+    if np.abs(deficit).max() > ATOL:
         raise NotAnObservableError(
             f"translates sum to identity + deficit of norm {hs_norm(deficit):.3e}",
             deficit=deficit,
         )
-    povm = Povm(d, outcomes)
-    if covariance_defect(povm, rep, cosets) > 1e-9:
-        raise InconsistencyError("constructed observable is not covariant")
-    return povm
+    return Povm(d, outcomes)
 
 
 def covariance_defect(povm: Povm, rep: rp.ProjectiveRep, cosets: grp.CosetSpace) -> float:
@@ -170,9 +171,8 @@ def covariance_defect(povm: Povm, rep: rp.ProjectiveRep, cosets: grp.CosetSpace)
     return worst
 
 
-def check_covariance(povm: Povm, rep: rp.ProjectiveRep, cosets: grp.CosetSpace,
-                     tol: float = 1e-9) -> bool:
-    return covariance_defect(povm, rep, cosets) <= tol
+def check_covariance(povm: Povm, rep: rp.ProjectiveRep, cosets: grp.CosetSpace) -> bool:
+    return covariance_defect(povm, rep, cosets) <= ATOL
 
 
 # --- abelian obstruction ------------------------------------------------------
@@ -335,7 +335,7 @@ def _selfadjoint_generator(comp: OperatorSubspace) -> np.ndarray:
     cand_b = (k - k.conj().T) / 2j
     h = cand_a if hs_norm(cand_a) >= hs_norm(cand_b) else cand_b
     n = hs_norm(h)
-    if n < 1e-9:
+    if n < ATOL:
         raise InconsistencyError("complement generator has no selfadjoint part")
     return h / n
 
@@ -392,6 +392,11 @@ def povm_to_json(povm: Povm) -> dict:
 
 def povm_from_json(data: dict) -> Povm:
     """Parse and validate the interchange schema; invalid operators are named."""
+    return _read_povm(data)[0]
+
+
+def _read_povm(data: dict) -> tuple[Povm, PovmValidation]:
+    """:func:`povm_from_json`, also returning the validation report it passed."""
     try:
         dim = int(data["dim"])
         raw = data["outcomes"]
@@ -416,4 +421,4 @@ def povm_from_json(data: dict) -> Povm:
             f"min eigenvalue {report.min_eigenvalue:.2e}, "
             f"normalization {report.normalization_defect:.2e})"
         )
-    return povm
+    return povm, report

@@ -15,9 +15,7 @@ import numpy as np
 
 from . import group as grp
 from .errors import DomainError, InconsistencyError, NotAProjectiveRepError, ShapeError
-from .linalg import numerical_rank
-
-MATRIX_ATOL = 1e-9
+from .linalg import ATOL, PHASE_ATOL, numerical_rank
 
 
 @dataclass(eq=False)
@@ -34,19 +32,20 @@ class ProjectiveRep:
     matrices: list
     multiplier: np.ndarray
 
-    def is_unitary_rep(self, tol: float = 1e-8) -> bool:
-        return bool(np.abs(self.multiplier - 1).max() <= tol)
+    def is_unitary_rep(self) -> bool:
+        return bool(np.abs(self.multiplier - 1).max() <= ATOL)
 
     def character(self) -> np.ndarray:
         return np.array([np.trace(u) for u in self.matrices])
 
 
-def rep_from_matrices(group: grp.FiniteGroup, matrices, tol: float = MATRIX_ATOL) -> ProjectiveRep:
+def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     """Validate unitaries against the group table and extract the multiplier.
 
     The scalar omega(g, h) is estimated as <U(g)U(h), U(gh)>_HS / d and the
-    residual ||U(gh) - omega U(g)U(h)|| must vanish within tol; anything
-    larger means the matrices do not projectively represent the group.
+    residual ||U(gh) - omega U(g)U(h)|| must vanish within ATOL; anything
+    larger means the matrices do not projectively represent the group.  Each
+    table row g is checked as one batched product U(g) @ [U(h) for all h].
     """
     mats = [np.asarray(u, dtype=complex) for u in matrices]
     n = group.order
@@ -57,42 +56,47 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices, tol: float = MATRIX_ATOL
     for u in mats:
         if u.shape != (d, d):
             raise ShapeError("representation matrices must share one square shape")
-        if np.abs(u.conj().T @ u - eye).max() > tol * max(1.0, d):
+        if np.abs(u.conj().T @ u - eye).max() > ATOL * max(1.0, d):
             raise DomainError("matrix is not unitary")
-    if np.abs(mats[group.identity] - eye).max() > tol:
+    if np.abs(mats[group.identity] - eye).max() > ATOL:
         raise DomainError("identity element must map to the identity matrix")
+    stack = np.array(mats)
     omega = np.empty((n, n), dtype=complex)
     for g in range(n):
-        for h in range(n):
-            prod = mats[g] @ mats[h]
-            target = mats[group.op(g, h)]
-            om = np.sum(np.conj(prod) * target) / d
-            if abs(abs(om) - 1) > 1e-7:
-                raise NotAProjectiveRepError(
-                    f"multiplier at ({group.names[g]}, {group.names[h]}) is not unimodular"
-                )
-            om /= abs(om)
-            if np.abs(target - om * prod).max() > tol * max(1.0, d):
-                raise NotAProjectiveRepError(
-                    f"residual at ({group.names[g]}, {group.names[h]}) exceeds tolerance"
-                )
-            omega[g, h] = om
+        prods = mats[g] @ stack                      # [h] -> U(g) U(h)
+        targets = stack[group.mul[g]]                # [h] -> U(gh)
+        om = np.sum(np.conj(prods) * targets, axis=(1, 2)) / d
+        modulus = np.abs(om)
+        not_unimodular = np.abs(modulus - 1) > PHASE_ATOL
+        om /= np.where(not_unimodular, 1.0, modulus)
+        residual = np.abs(targets - om[:, None, None] * prods).max(axis=(1, 2))
+        failed = not_unimodular | (residual > ATOL * max(1.0, d))
+        if failed.any():
+            h = int(np.argmax(failed))
+            pair = f"({group.names[g]}, {group.names[h]})"
+            if not_unimodular[h]:
+                raise NotAProjectiveRepError(f"multiplier at {pair} is not unimodular")
+            raise NotAProjectiveRepError(f"residual at {pair} exceeds tolerance")
+        omega[g] = om
     e = group.identity
-    if np.abs(omega[e, :] - 1).max() > 1e-7 or np.abs(omega[:, e] - 1).max() > 1e-7:
+    if np.abs(omega[e, :] - 1).max() > PHASE_ATOL or np.abs(omega[:, e] - 1).max() > PHASE_ATOL:
         raise NotAProjectiveRepError("multiplier is not normalized at the identity")
-    _check_cocycle(group, omega)
-    return ProjectiveRep(group, d, mats, omega)
+    rep = ProjectiveRep(group, d, mats, omega)
+    # a multiplier within ATOL of 1 meets the cocycle identity within 4 ATOL
+    if not rep.is_unitary_rep():
+        _check_cocycle(group, omega)
+    return rep
 
 
-def _check_cocycle(group: grp.FiniteGroup, omega: np.ndarray, tol: float = 1e-7):
-    # omega(g, hk) omega(h, k) = omega(g, h) omega(gh, k), all triples
+def _check_cocycle(group: grp.FiniteGroup, omega: np.ndarray):
+    # omega(g, hk) omega(h, k) = omega(g, h) omega(gh, k), all triples, one
+    # g at a time: [h, k] -> omega(g, hk), omega(h, k), omega(g, h), omega(gh, k)
     mul = group.mul
-    ghk = omega[:, mul]            # [g, h, k] -> omega(g, hk)
-    hk = omega[None, :, :]         # [g, h, k] -> omega(h, k)
-    gh = omega[:, :, None]         # [g, h, k] -> omega(g, h)
-    gh_k = omega[mul, :]           # [g, h, k] -> omega(gh, k)
-    defect = np.abs(ghk * hk - gh * gh_k).max()
-    if defect > tol:
+    defect = max(
+        np.abs(omega[g, mul] * omega - omega[g][:, None] * omega[mul[g]]).max()
+        for g in range(group.order)
+    )
+    if defect > PHASE_ATOL:
         raise NotAProjectiveRepError(f"cocycle identity fails (defect {defect:.3e})")
 
 
@@ -164,26 +168,18 @@ class Irrep:
         g = self.group
         mats = [np.asarray(m, dtype=complex) for m in self.matrices]
         self.matrices = mats
-        eye = np.eye(self.dim)
-        for m in mats:
-            if m.shape != (self.dim, self.dim):
-                raise ShapeError("irrep matrix of wrong shape")
-            if np.abs(m.conj().T @ m - eye).max() > 1e-9:
-                raise DomainError("irrep matrix is not unitary")
-        for a in range(g.order):
-            for b in range(g.order):
-                if np.abs(mats[g.op(a, b)] - mats[a] @ mats[b]).max() > 1e-9:
-                    raise DomainError("irrep is not a homomorphism")
+        if any(m.shape != (self.dim, self.dim) for m in mats):
+            raise ShapeError("irrep matrix of wrong shape")
+        if not rep_from_matrices(g, mats).is_unitary_rep():
+            raise DomainError("irrep is not a homomorphism")
         self.character = np.array([np.trace(m) for m in mats])
         norm = np.sum(np.abs(self.character) ** 2) / g.order
-        if abs(norm - 1) > 1e-9:
+        if abs(norm - 1) > ATOL:
             raise DomainError(f"character norm {norm} != 1: not irreducible")
-        # class constancy
-        for a in range(g.order):
-            for t in range(g.order):
-                conj_elem = g.op(g.op(t, a), int(g.inverse[t]))
-                if abs(self.character[conj_elem] - self.character[a]) > 1e-9:
-                    raise DomainError("character is not a class function")
+        # class constancy: [t, a] -> t a t^-1
+        conj = g.mul[g.mul, g.inverse[:, None]]
+        if np.abs(self.character[conj] - self.character).max() > ATOL:
+            raise DomainError("character is not a class function")
 
 
 def _sign_character(group, name, plus_names):
@@ -247,11 +243,9 @@ def irreps_of(group: grp.FiniteGroup) -> list:
     total = sum(irr.dim ** 2 for irr in out)
     if total != group.order:
         raise InconsistencyError("dual is incomplete: sum of squared dims != order")
-    for i, a in enumerate(out):
-        for b in out[i + 1:]:
-            ip = np.sum(np.conj(a.character) * b.character) / group.order
-            if abs(ip) > 1e-9:
-                raise InconsistencyError("characters are not orthogonal")
+    chars = np.array([irr.character for irr in out])
+    if np.abs(chars.conj() @ chars.T / group.order - np.eye(len(out))).max() > ATOL:
+        raise InconsistencyError("characters are not orthogonal")
     return out
 
 
@@ -302,7 +296,7 @@ def isotypic_decompose(rep: ProjectiveRep, dual=None) -> IsotypicDecomposition:
     total = np.zeros((rep.dim, rep.dim), dtype=complex)
     for irr in dual:
         m = np.sum(np.conj(irr.character) * chi_v) / n
-        if abs(m.imag) > 1e-6 or abs(m.real - round(m.real)) > 1e-6 or round(m.real) < 0:
+        if abs(m.imag) > PHASE_ATOL or abs(m.real - round(m.real)) > PHASE_ATOL or round(m.real) < 0:
             raise InconsistencyError(
                 f"multiplicity of {irr.name} is {m}, not a nonnegative integer"
             )
@@ -311,17 +305,17 @@ def isotypic_decompose(rep: ProjectiveRep, dual=None) -> IsotypicDecomposition:
         for g in range(n):
             p += np.conj(irr.character[g]) * rep.matrices[g]
         p *= irr.dim / n
-        if np.abs(p @ p - p).max() > 1e-9:
+        if np.abs(p @ p - p).max() > ATOL:
             raise InconsistencyError(f"projection for {irr.name} is not idempotent")
         if numerical_rank(p) != irr.dim * mult:
             raise InconsistencyError(f"projection rank mismatch for {irr.name}")
         total += p
         components.append(IsotypicComponent(irr, mult, p))
-    if np.abs(total - eye).max() > 1e-9:
+    if np.abs(total - eye).max() > ATOL:
         raise InconsistencyError("projections do not resolve the identity")
     for i, a in enumerate(components):
         for b in components[i + 1:]:
-            if np.abs(a.projection @ b.projection).max() > 1e-9:
+            if np.abs(a.projection @ b.projection).max() > ATOL:
                 raise InconsistencyError("projections are not mutually orthogonal")
     if sum(c.irrep.dim * c.multiplicity for c in components) != rep.dim:
         raise InconsistencyError("multiplicities do not fill the space")
@@ -371,7 +365,7 @@ def isotypic_bases(decomp: IsotypicDecomposition) -> list:
         for a in range(1, comp.irrep.dim):
             cols.append(_matrix_unit_projection(rep, comp.irrep, a, 0) @ w)
         basis = np.concatenate(cols, axis=1)
-        if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > 1e-7:
+        if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > PHASE_ATOL:
             raise InconsistencyError("isotypic basis failed orthonormality")
         out.append(basis)
     return out
@@ -424,7 +418,7 @@ def is_cyclic_vector(rep: ProjectiveRep, v, decomp=None, bases=None) -> bool:
 
 # --- joint eigenspaces -------------------------------------------------------
 
-def _eigenspaces(u: np.ndarray, cluster_tol: float = 1e-8) -> list:
+def _eigenspaces(u: np.ndarray) -> list:
     vals, vecs = np.linalg.eig(u)
     n = len(vals)
     used = np.zeros(n, dtype=bool)
@@ -433,7 +427,7 @@ def _eigenspaces(u: np.ndarray, cluster_tol: float = 1e-8) -> list:
     for idx in order:
         if used[idx]:
             continue
-        cluster = [i for i in range(n) if not used[i] and abs(vals[i] - vals[idx]) < cluster_tol]
+        cluster = [i for i in range(n) if not used[i] and abs(vals[i] - vals[idx]) < PHASE_ATOL]
         for i in cluster:
             used[i] = True
         q, _ = np.linalg.qr(vecs[:, cluster])
@@ -441,16 +435,16 @@ def _eigenspaces(u: np.ndarray, cluster_tol: float = 1e-8) -> list:
     return spaces
 
 
-def _subspace_intersection(a: np.ndarray, b: np.ndarray, tol: float = 1e-7):
+def _subspace_intersection(a: np.ndarray, b: np.ndarray):
     m = a.conj().T @ b
     u, s, _ = np.linalg.svd(m)
-    idx = np.nonzero(s > 1 - tol)[0]
+    idx = np.nonzero(s > 1 - PHASE_ATOL)[0]
     if idx.size == 0:
         return None
     return a @ u[:, idx]
 
 
-def joint_eigenspaces(matrices, tol: float = 1e-7) -> list:
+def joint_eigenspaces(matrices) -> list:
     """Maximal simultaneous eigenspaces of a family of unitaries.
 
     Returns orthonormal column blocks; every common eigenvector lies in
@@ -464,7 +458,7 @@ def joint_eigenspaces(matrices, tol: float = 1e-7) -> list:
         eigs = _eigenspaces(u)
         for s in spaces:
             for e in eigs:
-                hit = _subspace_intersection(s, e, tol)
+                hit = _subspace_intersection(s, e)
                 if hit is not None:
                     refined.append(hit)
         spaces = refined
@@ -479,8 +473,8 @@ def _coboundary(group: grp.FiniteGroup, f: np.ndarray) -> np.ndarray:
     return f[:, None] * f[None, :] * np.conj(f[group.mul])
 
 
-def _verify_phase(group, omega, f, tol=1e-8) -> bool:
-    return bool(np.abs(_coboundary(group, f) - omega).max() <= tol)
+def _verify_phase(group, omega, f) -> bool:
+    return bool(np.abs(_coboundary(group, f) - omega).max() <= ATOL)
 
 
 def _full_order_generator(group: grp.FiniteGroup):
@@ -616,7 +610,7 @@ def is_exact_multiplier(rep: ProjectiveRep):
     group = rep.group
     omega = rep.multiplier
     n = group.order
-    if np.abs(omega - 1).max() <= 1e-9:
+    if rep.is_unitary_rep():
         return True, np.ones(n, dtype=complex)
     g0 = _full_order_generator(group)
     if g0 is not None:
@@ -627,7 +621,7 @@ def is_exact_multiplier(rep: ProjectiveRep):
     if lines:
         v = lines[0][:, 0]
         c = np.array([v.conj() @ (u @ v) for u in rep.matrices])
-        if np.abs(np.abs(c) - 1).max() < 1e-7:
+        if np.abs(np.abs(c) - 1).max() < PHASE_ATOL:
             f = np.conj(c / np.abs(c))
             if _verify_phase(group, omega, f):
                 return True, f
@@ -638,7 +632,7 @@ def is_exact_multiplier(rep: ProjectiveRep):
     modulus = n * n
     angles = np.angle(omega_p) / (2 * np.pi) * modulus
     w = np.rint(angles).astype(int)
-    if np.abs(angles - w).max() > 1e-5 * modulus:
+    if np.abs(angles - w).max() > PHASE_ATOL * modulus:
         raise InconsistencyError("normalized multiplier left the root-of-unity grid")
     rows, rhs = [], []
     for g in range(n):

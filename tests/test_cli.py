@@ -18,7 +18,7 @@ class TestConstruct:
     def test_quat3_default(self, tmp_path, capsys):
         out = tmp_path / "quat3.json"
         code, report, err = run_cli(
-            capsys, "construct", "quat3", "--default", "-o", str(out)
+            capsys, "construct", "quat3", "-o", str(out)
         )
         assert code == 0
         assert report["verdicts"]["outcomes"] == 8
@@ -83,10 +83,26 @@ class TestAnalyze:
     def test_wh_ic(self, tmp_path, capsys):
         out = tmp_path / "wh.json"
         run_cli(capsys, "construct", "wh", "--dim", "2", "-o", str(out))
-        code, report, _ = run_cli(capsys, "analyze", str(out), "--ic")
+        code, report, _ = run_cli(capsys, "analyze", str(out))
         assert code == 0
         assert report["verdicts"]["ic"] is True
         assert report["verdicts"]["span_dim"] == 4
+
+    def test_validates_once(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "wh.json"
+        run_cli(capsys, "construct", "wh", "--dim", "2", "-o", str(out))
+        calls = []
+        validate = pv.validate
+
+        def counted(povm):
+            calls.append(povm)
+            return validate(povm)
+
+        monkeypatch.setattr(pv, "validate", counted)
+        code, report, _ = run_cli(capsys, "analyze", str(out))
+        assert code == 0
+        assert len(calls) == 1
+        assert report["verdicts"]["validation"]["passed"]
 
     def test_single_identity_not_pic_with_witness(self, tmp_path, capsys):
         doc = pv.povm_to_json(pv.Povm(2, [("all", np.eye(2, dtype=complex))]))

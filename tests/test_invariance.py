@@ -5,6 +5,9 @@ equivalent subspace, and permuting the outcomes leaves the span itself alone;
 neither may move the span dimension or the PIC verdict.  The observables are
 the ones decided exactly (complement of dimension 0 or 1), so no falsifier
 search runs.
+
+Covariance itself is checked here over every group element, independently of
+``build_covariant``, on observables whose coset space has a nontrivial subgroup.
 """
 
 import functools
@@ -14,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpovm import constructions as cx
+from covpovm import group as grp
 from covpovm import povm as pv
+from covpovm.linalg import ATOL
 
 from support import haar_unitary, planted_witness_povm
 
@@ -67,3 +72,23 @@ def test_outcome_permutation_keeps_span_and_verdict(name, data):
     order = data.draw(st.permutations(range(len(povm))))
     moved = pv.Povm(povm.dim, [povm.outcomes[i] for i in order])
     assert_same_analysis(name, moved)
+
+
+@SETTINGS
+@given(d=st.sampled_from([3, 4]), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_covariance_over_a_nontrivial_subgroup(d, data, seed):
+    rep = cx.wh_rep(d)
+    gen = data.draw(st.integers(1, d * d - 1))
+    sub = grp.subgroup_generated(rep.group, [gen])
+    assert 1 < sub.order < d * d
+    cosets = grp.coset_space(rep.group, sub)
+    # twirling a positive operator over U(H) puts it in the commutant; over
+    # all of G it would average to tr(a)/d id, which fixes tr(a) = |H|/d
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = z @ z.conj().T
+    a *= sub.order / d / np.trace(a).real
+    m = sum(rep.matrices[h] @ a @ rep.matrices[h].conj().T for h in sub.members) / sub.order
+    povm = pv.build_covariant(rep, cosets, m)
+    assert len(povm) == d * d // sub.order
+    assert pv.covariance_defect(povm, rep, cosets) <= ATOL

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from covpovm import linalg
 from covpovm import rep as rp
 from covpovm.errors import DomainError, NotAProjectiveRepError, ShapeError
 
-from support import T_OPERATOR, make_wh_rep, pic3_seed
+from support import T_OPERATOR, make_wh_rep, pic3_seed, wh_matrices
 
 
 def entrywise_multiplier(u_g, u_h, u_gh):
@@ -65,6 +67,19 @@ class TestRepFromMatrices:
                         lhs = om[g, mul[h, k]] * om[h, k]
                         rhs = om[g, h] * om[mul[g, h], k]
                         assert abs(lhs - rhs) < 1e-9
+
+    def test_validating_wh15_stays_small(self):
+        # 225 elements: the cocycle identity over all 225^3 triples at once
+        # would hold several 180 MB arrays
+        g = grp.build_group("product(cyclic:15,cyclic:15)")
+        mats = wh_matrices(15)
+        tracemalloc.start()
+        try:
+            rp.rep_from_matrices(g, mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_json_round_trip(self, quat3_rep):
         back = rp.rep_from_json(rp.rep_to_json(quat3_rep))
@@ -144,6 +159,35 @@ class TestIrreps:
         bare = grp.group_from_json(grp.group_to_json(quaternion))
         with pytest.raises(NotImplementedError):
             rp.irreps_of(bare)
+
+
+class TestIrrepRejection:
+    def test_non_unitary_matrix(self):
+        g = grp.cyclic_group(2)
+        with pytest.raises(DomainError):
+            rp.Irrep(g, "bad", 1, [np.eye(1), 2 * np.eye(1)])
+
+    def test_broken_product_rule(self):
+        # diag(1, i) squares to diag(1, -1), which is no multiple of U(0) = id
+        g = grp.cyclic_group(2)
+        with pytest.raises(DomainError):
+            rp.Irrep(g, "bad", 2, [np.eye(2), np.diag([1, 1j])])
+
+    def test_nontrivial_multiplier(self, wh_rep_d2):
+        # the Pauli family is irreducible with character norm 1, but only
+        # projectively: U(g)U(h) = omega(g, h) U(gh) with omega != 1
+        with pytest.raises(DomainError):
+            rp.Irrep(wh_rep_d2.group, "pauli", 2, wh_rep_d2.matrices)
+
+    def test_reducible_character(self):
+        g = grp.cyclic_group(2)
+        with pytest.raises(DomainError, match="not irreducible"):
+            rp.Irrep(g, "sum", 2, [np.eye(2), np.diag([1.0, -1.0])])
+
+    def test_wrong_shape(self):
+        g = grp.cyclic_group(2)
+        with pytest.raises(ShapeError):
+            rp.Irrep(g, "bad", 2, [np.eye(1), -np.eye(1)])
 
 
 def tperp_columns():
