@@ -22,6 +22,7 @@ from . import group as grp
 from . import povm as pv
 from . import rep as rp
 from .errors import CovPovmError, UnknownDimensionError
+from .linalg import decode_complex, encode_complex
 
 
 @dataclass
@@ -36,14 +37,6 @@ class Report:
 def _emit(report: Report, summary: str) -> None:
     print(json.dumps(asdict(report), indent=2))
     print(summary, file=sys.stderr)
-
-
-def _complex_pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _vector_pairs(v) -> list:
-    return [_complex_pair(z) for z in np.asarray(v)]
 
 
 def _parse_floats(text: str, n: int, what: str) -> list:
@@ -64,7 +57,7 @@ def _verdict_dict(verdict: pv.PicVerdict) -> dict:
     }
     if verdict.witness is not None:
         psi, phi = verdict.witness
-        out["witness"] = {"psi": _vector_pairs(psi), "phi": _vector_pairs(phi)}
+        out["witness"] = {"psi": encode_complex(psi), "phi": encode_complex(phi)}
     else:
         out["witness"] = None
     return out
@@ -116,12 +109,12 @@ def _cmd_construct(args) -> int:
         if args.alpha is not None:
             params.alpha = tuple(_parse_floats(args.alpha, 3, "--alpha"))
         if args.v is not None:
-            re1, im1, re2, im2 = _parse_floats(args.v, 4, "--v")
-            params.v = (complex(re1, im1), complex(re2, im2))
+            parts = _parse_floats(args.v, 4, "--v")
+            params.v = tuple(decode_complex([parts[:2], parts[2:]], "--v"))
         inputs.update(
             lam=params.lam,
             alpha=list(params.alpha),
-            v=[_complex_pair(params.v[0]), _complex_pair(params.v[1])],
+            v=encode_complex(params.v),
             bypass_conditions=args.bypass_conditions,
         )
         povm, _rep, _t = cx.build_pic3(
@@ -219,7 +212,7 @@ def _cmd_group(args) -> int:
             {
                 "name": irr.name,
                 "dim": irr.dim,
-                "character": _vector_pairs(irr.character),
+                "character": encode_complex(irr.character),
             }
             for irr in dual
         ]

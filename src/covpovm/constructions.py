@@ -101,16 +101,15 @@ def minimal_pic_outcomes(d: int) -> MinOutcomeRecord:
 
 # --- shift/clock observables ---------------------------------------------------
 
-def wh_displacements(d: int) -> list:
-    """W(j, k) = U^j V^k with the shift U and clock V, (j, k) row-major."""
+def wh_displacements(d: int) -> np.ndarray:
+    """W(j, k) = U^j V^k with the shift U and clock V, at index j * d + k."""
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    mats = []
-    for j in range(d):
-        pj = np.linalg.matrix_power(shift, j)
-        for k in range(d):
-            mats.append(pj @ np.linalg.matrix_power(clock, k))
-    return mats
+
+    def powers(m):
+        return np.array([np.linalg.matrix_power(m, k) for k in range(d)])
+
+    return (powers(shift)[:, None] @ powers(clock)[None]).reshape(d * d, d, d)
 
 
 def wh_rep(d: int) -> rp.ProjectiveRep:
@@ -144,13 +143,18 @@ def build_weyl_heisenberg(params: WhParams):
         raise DomainError(f"seed trace must be 1/{d}, got {np.trace(seed):.6g}")
     rep = wh_rep(d)
     if params.require_ic:
-        for idx, w in enumerate(rep.matrices):
-            if abs(np.trace(seed @ w)) <= ATOL:
-                label = rep.group.names[idx]
-                raise DomainError(f"seed is orthogonal to displacement {label}")
+        vanishing = np.flatnonzero(_overlaps(seed, rep.matrices) <= ATOL)
+        if vanishing.size:
+            label = rep.group.names[vanishing[0]]
+            raise DomainError(f"seed is orthogonal to displacement {label}")
     cosets = grp.coset_space(rep.group, grp.subgroup_generated(rep.group, []))
     povm = pv.build_covariant(rep, cosets, seed)
     return povm, rep
+
+
+def _overlaps(seed: np.ndarray, displacements: np.ndarray) -> np.ndarray:
+    """[g] -> |tr(seed W(g))|."""
+    return np.abs(np.trace(seed @ displacements, axis1=1, axis2=2))
 
 
 def default_wh_seed(d: int, rng_seed: int) -> np.ndarray:
@@ -167,7 +171,7 @@ def default_wh_seed(d: int, rng_seed: int) -> np.ndarray:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
         seed = np.outer(v, v.conj()) / d
-        if all(abs(np.trace(seed @ w)) > ATOL for w in displacements):
+        if np.all(_overlaps(seed, displacements) > ATOL):
             return seed
     raise ConstructionError("no admissible seed found in 1000 draws")
 
@@ -216,13 +220,6 @@ def t_operator(lam: float = 1.0) -> np.ndarray:
     return np.diag([2 * lam, -lam, -lam]).astype(complex)
 
 
-def _embed3(m2: np.ndarray) -> np.ndarray:
-    u = np.zeros((3, 3), dtype=complex)
-    u[0, 0] = 1.0
-    u[1:, 1:] = m2
-    return u
-
-
 def pic3_rep(group_choice: str) -> rp.ProjectiveRep:
     """Block representation g -> diag(1, pi(g)) on C^3."""
     if group_choice == "quaternion":
@@ -233,7 +230,10 @@ def pic3_rep(group_choice: str) -> rp.ProjectiveRep:
         blocks = grp.DIHEDRAL8_MATRICES
     else:
         raise DomainError(f"unknown group choice {group_choice!r}")
-    return rp.rep_from_matrices(g, [_embed3(m) for m in blocks])
+    u = np.zeros((len(blocks), 3, 3), dtype=complex)
+    u[:, 0, 0] = 1.0
+    u[:, 1:, 1:] = blocks
+    return rp.rep_from_matrices(g, u)
 
 
 def check_pic3_conditions(params: Pic3Params):

@@ -63,22 +63,21 @@ class FiniteGroup:
             raise DomainError("table is not a Latin square (rows)")
         if not np.all(np.sort(self.mul, axis=0) == full[:, None]):
             raise DomainError("table is not a Latin square (columns)")
-        idents = [e for e in range(n)
-                  if np.all(self.mul[e] == full) and np.all(self.mul[:, e] == full)]
+        idents = np.flatnonzero(np.all(self.mul == full, axis=1)
+                                & np.all(self.mul.T == full, axis=1))
         if len(idents) != 1:
             raise DomainError("table has no (or no unique) two-sided identity")
-        self.identity = idents[0]
+        self.identity = int(idents[0])
         if n <= ASSOCIATIVITY_CHECK_LIMIT:
             ab = self.mul
             # mul[ab][a,b,c] = (ab)c and mul[:, ab][a,b,c] = a(bc)
             if not np.all(self.mul[ab, :] == self.mul[:, ab]):
                 raise DomainError("table is not associative")
-        inv = np.full(n, -1)
-        for a in range(n):
-            hits = np.nonzero(self.mul[a] == self.identity)[0]
-            if hits.size != 1 or self.mul[hits[0], a] != self.identity:
-                raise DomainError(f"element {a} lacks a two-sided inverse")
-            inv[a] = hits[0]
+        # a Latin square row holds the identity exactly once
+        inv = np.argmax(self.mul == self.identity, axis=1)
+        left = self.mul[inv, full] != self.identity
+        if left.any():
+            raise DomainError(f"element {int(np.argmax(left))} lacks a two-sided inverse")
         self.inverse = inv
 
     @property
@@ -123,15 +122,13 @@ class Subgroup:
         for m in self.members:
             if not 0 <= m < g.order:
                 raise DomainError(f"element index {m} out of range")
-        mem = set(self.members)
-        if g.identity not in mem:
+        mem = list(self.members)
+        if g.identity not in self.members:
             raise DomainError("subgroup is missing the identity")
-        for a in self.members:
-            if g.inverse[a] not in mem:
-                raise DomainError("subgroup is not closed under inversion")
-            for b in self.members:
-                if g.op(a, b) not in mem:
-                    raise DomainError("subgroup is not closed under the product")
+        if not np.isin(g.inverse[mem], mem).all():
+            raise DomainError("subgroup is not closed under inversion")
+        if not np.isin(g.mul[np.ix_(mem, mem)], mem).all():
+            raise DomainError("subgroup is not closed under the product")
 
     @property
     def order(self) -> int:
@@ -147,8 +144,8 @@ class CosetSpace:
 
     parent: FiniteGroup
     subgroup: Subgroup
-    cosets: list = field(init=False)
-    representatives: list = field(init=False)
+    cosets: np.ndarray = field(init=False)           # [c] -> sorted members of coset c
+    representatives: list = field(init=False)        # [c] -> smallest member of coset c
     coset_of: np.ndarray = field(init=False)
     action: np.ndarray = field(init=False)
 
@@ -156,31 +153,16 @@ class CosetSpace:
         g, h = self.parent, self.subgroup
         if h.parent is not g:
             raise DomainError("subgroup belongs to a different group")
-        seen = np.full(g.order, -1)
-        cosets, reps = [], []
-        for a in range(g.order):
-            if seen[a] >= 0:
-                continue
-            coset = sorted(g.op(a, m) for m in h.members)
-            idx = len(cosets)
-            for c in coset:
-                if seen[c] >= 0:
-                    raise DomainError("cosets do not partition the group")
-                seen[c] = idx
-            cosets.append(coset)
-            reps.append(a)
-        self.cosets = cosets
-        self.representatives = reps
-        self.coset_of = seen
-        self.action = np.empty((g.order, len(cosets)), dtype=int)
-        for a in range(g.order):
-            for c, rep in enumerate(reps):
-                self.action[a, c] = seen[g.op(a, rep)]
+        left = np.sort(g.mul[:, list(h.members)], axis=1)   # [a] -> aH
+        first = left[:, 0]
+        reps = np.flatnonzero(first == np.arange(g.order))
+        self.cosets = left[reps]
+        self.representatives = reps.tolist()
+        self.coset_of = np.searchsorted(reps, first)
+        self.action = self.coset_of[g.mul[:, reps]]
         # g.(g'H) = (gg')H, checked over every pair
-        for a in range(g.order):
-            for b in range(g.order):
-                if self.action[a, seen[b]] != seen[g.op(a, b)]:
-                    raise DomainError("action table is inconsistent")
+        if not np.array_equal(self.action[:, self.coset_of], self.coset_of[g.mul]):
+            raise DomainError("action table is inconsistent")
 
     @property
     def size(self) -> int:
@@ -211,16 +193,12 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 def _group_from_matrices(names, matrices, kind) -> FiniteGroup:
-    n = len(matrices)
-    table = np.empty((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            prod = matrices[a] @ matrices[b]
-            hits = [c for c in range(n) if np.abs(prod - matrices[c]).max() < ZERO_ATOL]
-            if len(hits) != 1:
-                raise DomainError("matrix set is not closed under the product")
-            table[a, b] = hits[0]
-    return FiniteGroup(tuple(names), table, kind=kind)
+    mats = np.asarray(matrices)
+    prods = mats[:, None] @ mats[None]                          # [a, b] -> M(a) M(b)
+    hits = np.abs(prods[:, :, None] - mats).max(axis=(3, 4)) < ZERO_ATOL   # [a, b, c]
+    if not np.all(hits.sum(axis=2) == 1):
+        raise DomainError("matrix set is not closed under the product")
+    return FiniteGroup(tuple(names), np.argmax(hits, axis=2), kind=kind)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -306,8 +284,7 @@ def find_cyclic_transitive_subgroup(g: FiniteGroup, h: Subgroup):
     cosets = coset_space(g, h)
     for g0 in range(g.order):
         sub = subgroup_generated(g, [g0])
-        orbit = {int(cosets.action[x, 0]) for x in sub.members}
-        if len(orbit) == cosets.size:
+        if np.unique(cosets.action[list(sub.members), 0]).size == cosets.size:
             return sub
     return None
 
@@ -340,7 +317,15 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(data: dict) -> FiniteGroup:
-    names = tuple(str(x) for x in data["names"])
-    if len(names) != int(data["order"]):
+    for key in ("order", "names", "mul"):
+        if not isinstance(data, dict) or key not in data:
+            raise DomainError(f"group document lacks {key!r}")
+    try:
+        order = int(data["order"])
+        names = tuple(str(x) for x in data["names"])
+        mul = np.asarray(data["mul"], dtype=int)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed group document ({exc})") from exc
+    if len(names) != order:
         raise DomainError("order field disagrees with the name list")
-    return FiniteGroup(names, np.asarray(data["mul"], dtype=int))
+    return FiniteGroup(names, mul)

@@ -8,6 +8,7 @@ HS-orthonormal bases (:class:`OperatorSubspace`) stored as one ``(k, d, d)``
 array, so coordinates and projections are single matrix products.  Every rank
 decision, spans included, counts singular values with one rule (:func:`_rank`);
 spans come from the SVD of the stacked operators, not from their Gram matrix.
+Complex arrays cross JSON as nested ``[re, im]`` pairs through one codec.
 """
 
 from __future__ import annotations
@@ -45,6 +46,26 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix has non-finite entries")
     return m
+
+
+def encode_complex(a) -> list:
+    """Nested lists of [re, im] pairs, the package's JSON form of complex arrays."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def decode_complex(data, what: str) -> np.ndarray:
+    """Inverse of :func:`encode_complex`, accepting finite numeric pairs only."""
+    try:
+        raw = np.array(data)
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is None or raw.dtype.kind not in "iuf" or raw.ndim == 0 or raw.shape[-1] != 2:
+        raise DomainError(f"{what} is not an array of [re, im] pairs of 64-bit numbers")
+    pairs = np.ascontiguousarray(raw, dtype=float)
+    if not np.all(np.isfinite(pairs)):
+        raise DomainError(f"{what} has non-finite or out-of-range entries")
+    return pairs.view(complex)[..., 0]
 
 
 def require_square(a: np.ndarray) -> int:

@@ -19,8 +19,9 @@ from . import group as grp
 from . import rep as rp
 from .errors import DomainError, InconsistencyError, NotAnObservableError
 from .linalg import (
-    ATOL, OperatorSubspace, as_matrix, hermitian_eig, hs_norm, numerical_rank,
-    orthogonal_complement, psd_defects, require_psd, span_orthonormalize,
+    ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex, hermitian_eig,
+    hs_norm, numerical_rank, orthogonal_complement, psd_defects, require_psd,
+    span_orthonormalize,
 )
 
 PIC_CERTIFIED = "PIC_certified"
@@ -28,32 +29,33 @@ PIC_UNFALSIFIED = "PIC_unfalsified"
 NOT_PIC = "not_PIC"
 
 
-@dataclass(eq=False)
 class Povm:
-    """Outcome-labelled family of operators on a d-dimensional space."""
+    """Outcome-labelled family of operators on a d-dimensional space.
 
-    dim: int
-    outcomes: list  # (label, op) pairs
+    Built from (label, op) pairs; holds the labels as a list of strings and
+    the effects as one ``(m, d, d)`` complex array ``ops``.
+    """
 
-    def __post_init__(self):
-        cleaned = []
-        for label, op in self.outcomes:
-            op = as_matrix(op)
-            if op.shape != (self.dim, self.dim):
+    def __init__(self, dim: int, outcomes):
+        pairs = list(outcomes)
+        self.dim = dim
+        self.labels = [str(label) for label, _ in pairs]
+        ops = [np.asarray(op, dtype=complex) for _, op in pairs]
+        for label, op in zip(self.labels, ops):
+            if op.shape != (dim, dim):
                 raise DomainError(f"outcome {label!r} has shape {op.shape}")
-            cleaned.append((str(label), op))
-        self.outcomes = cleaned
+        self.ops = np.array(ops, dtype=complex).reshape(len(ops), dim, dim)
+        finite = np.isfinite(self.ops).all(axis=(1, 2))
+        if not finite.all():
+            raise DomainError(f"outcome {self.labels[np.argmin(finite)]!r} has non-finite entries")
 
     @property
-    def labels(self) -> list:
-        return [label for label, _ in self.outcomes]
-
-    @property
-    def ops(self) -> list:
-        return [op for _, op in self.outcomes]
+    def outcomes(self) -> list:
+        """(label, op) pairs, views into ``ops``."""
+        return list(zip(self.labels, self.ops))
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self.labels)
 
 
 @dataclass
@@ -77,8 +79,7 @@ def validate(povm: Povm) -> PovmValidation:
     herm = 0.0
     min_eig = np.inf
     worst = None
-    total = np.zeros((povm.dim, povm.dim), dtype=complex)
-    for label, op in povm.outcomes:
+    for label, op in zip(povm.labels, povm.ops):
         defect, low = psd_defects(op)
         if defect > herm:
             herm, worst = defect, label
@@ -86,8 +87,7 @@ def validate(povm: Povm) -> PovmValidation:
             min_eig = low
             if low < -ATOL:
                 worst = label
-        total += op
-    norm_defect = hs_norm(total - np.eye(povm.dim))
+    norm_defect = hs_norm(povm.ops.sum(axis=0) - np.eye(povm.dim))
     return PovmValidation(herm, min_eig, norm_defect, worst)
 
 
@@ -108,7 +108,7 @@ def born_probabilities(povm: Povm, state) -> np.ndarray:
     require_psd(rho, "state")
     if abs(np.trace(rho) - 1) > ATOL:
         raise DomainError("state does not have unit trace")
-    probs = np.array([np.trace(rho @ op).real for op in povm.ops])
+    probs = np.trace(rho @ povm.ops, axis1=1, axis2=2).real
     probs[(probs < 0) & (probs > -ATOL)] = 0.0
     return probs
 
@@ -134,26 +134,21 @@ def build_covariant(rep: rp.ProjectiveRep, cosets: grp.CosetSpace, seed) -> Povm
     require_psd(seed, "seed")
     if cosets.parent is not rep.group:
         raise DomainError("coset space belongs to a different group")
-    for h in cosets.subgroup.members:
-        u = rep.matrices[h]
-        if np.abs(seed @ u - u @ seed).max() > ATOL:
-            raise DomainError(
-                f"seed does not commute with U({rep.group.names[h]})"
-            )
-    outcomes = []
-    total = np.zeros((d, d), dtype=complex)
-    for r in cosets.representatives:
-        u = rep.matrices[r]
-        op = u @ seed @ u.conj().T
-        outcomes.append((rep.group.names[r], op))
-        total += op
-    deficit = total - np.eye(d)
+    members = list(cosets.subgroup.members)
+    u = rep.matrices[members]
+    commutes = np.abs(seed @ u - u @ seed).max(axis=(1, 2)) <= ATOL
+    if not commutes.all():
+        h = members[np.argmin(commutes)]
+        raise DomainError(f"seed does not commute with U({rep.group.names[h]})")
+    u = rep.matrices[cosets.representatives]
+    ops = u @ seed @ u.conj().transpose(0, 2, 1)
+    deficit = ops.sum(axis=0) - np.eye(d)
     if np.abs(deficit).max() > ATOL:
         raise NotAnObservableError(
             f"translates sum to identity + deficit of norm {hs_norm(deficit):.3e}",
             deficit=deficit,
         )
-    return Povm(d, outcomes)
+    return Povm(d, zip(cosets.labels(), ops))
 
 
 def covariance_defect(povm: Povm, rep: rp.ProjectiveRep, cosets: grp.CosetSpace) -> float:
@@ -161,14 +156,11 @@ def covariance_defect(povm: Povm, rep: rp.ProjectiveRep, cosets: grp.CosetSpace)
     if len(povm) != cosets.size:
         raise DomainError("outcome count does not match the coset space")
     ops = povm.ops
-    worst = 0.0
-    for g in range(rep.group.order):
-        u = rep.matrices[g]
-        for x in range(cosets.size):
-            moved = u @ ops[x] @ u.conj().T
-            defect = np.abs(moved - ops[cosets.action[g, x]]).max()
-            worst = max(worst, float(defect))
-    return worst
+    # one batched product per group element g: [x] -> U(g) M(x) U(g)* - M(g.x)
+    return max(
+        float(np.abs(u @ ops @ u.conj().T - ops[cosets.action[g]]).max())
+        for g, u in enumerate(rep.matrices)
+    )
 
 
 def check_covariance(povm: Povm, rep: rp.ProjectiveRep, cosets: grp.CosetSpace) -> bool:
@@ -220,9 +212,7 @@ def abelian_obstruction_certificate(rep: rp.ProjectiveRep):
             break
     if len(vectors) < 2:
         return None
-    phases = tuple(
-        np.array([v.conj() @ (u @ v) for u in rep.matrices]) for v in vectors
-    )
+    phases = tuple((rep.matrices @ v) @ v.conj() for v in vectors)
     return AbelianCertificate(tuple(vectors), phases)
 
 
@@ -316,6 +306,8 @@ def falsify(span: OperatorSubspace, settings: FalsifierSettings | None = None) -
     between equal minima resolve to the earliest restart.
     """
     settings = settings or FalsifierSettings()
+    if settings.restarts < 1:
+        raise DomainError(f"the falsifier needs at least one restart, got {settings.restarts}")
     best = None
     for r in range(settings.restarts):
         rng = np.random.default_rng([settings.rng_seed, r])
@@ -381,11 +373,8 @@ def povm_to_json(povm: Povm) -> dict:
     return {
         "dim": povm.dim,
         "outcomes": [
-            {
-                "label": label,
-                "matrix": [[[z.real, z.imag] for z in row] for row in op],
-            }
-            for label, op in povm.outcomes
+            {"label": label, "matrix": matrix}
+            for label, matrix in zip(povm.labels, encode_complex(povm.ops))
         ],
     }
 
@@ -397,21 +386,18 @@ def povm_from_json(data: dict) -> Povm:
 
 def _read_povm(data: dict) -> tuple[Povm, PovmValidation]:
     """:func:`povm_from_json`, also returning the validation report it passed."""
-    try:
-        dim = int(data["dim"])
-        raw = data["outcomes"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed POVM document: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError("malformed POVM document: not a JSON object")
+    dim, raw = data.get("dim"), data.get("outcomes")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise DomainError(f"malformed POVM document: 'dim' must be an integer >= 1, got {dim!r}")
+    if not isinstance(raw, list) or not raw:
+        raise DomainError("malformed POVM document: 'outcomes' must be a non-empty list")
     outcomes = []
     for pos, entry in enumerate(raw):
-        try:
-            label = str(entry["label"])
-            op = np.array(
-                [[complex(re, im) for re, im in row] for row in entry["matrix"]]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"outcome #{pos}: bad encoding ({exc})") from exc
-        outcomes.append((label, op))
+        if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
+            raise DomainError(f"outcome #{pos}: needs a 'label' and a 'matrix'")
+        outcomes.append((entry["label"], decode_complex(entry["matrix"], f"outcome #{pos}")))
     povm = Povm(dim, outcomes)
     report = validate(povm)
     if not report.passed:

@@ -8,6 +8,7 @@ cyclicity tests (direct orbit span vs. Schmidt rank per isotypic component).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -15,13 +16,14 @@ import numpy as np
 
 from . import group as grp
 from .errors import DomainError, InconsistencyError, NotAProjectiveRepError, ShapeError
-from .linalg import ATOL, PHASE_ATOL, numerical_rank
+from .linalg import ATOL, PHASE_ATOL, decode_complex, encode_complex, numerical_rank
 
 
 @dataclass(eq=False)
 class ProjectiveRep:
     """Map g -> U(g) with U(gh) = omega(g, h) U(g) U(h).
 
+    ``matrices`` is one ``(n, d, d)`` array indexed by group element and
     ``multiplier`` is the full table omega; an ordinary unitary representation
     has multiplier identically one.  Construct through
     :func:`rep_from_matrices`, which extracts and validates the multiplier.
@@ -29,14 +31,25 @@ class ProjectiveRep:
 
     group: grp.FiniteGroup
     dim: int
-    matrices: list
+    matrices: np.ndarray
     multiplier: np.ndarray
 
     def is_unitary_rep(self) -> bool:
         return bool(np.abs(self.multiplier - 1).max() <= ATOL)
 
     def character(self) -> np.ndarray:
-        return np.array([np.trace(u) for u in self.matrices])
+        return np.trace(self.matrices, axis1=1, axis2=2)
+
+
+def _as_stack(matrices) -> np.ndarray:
+    """One (n, d, d) complex array from a sequence of square matrices."""
+    try:
+        stack = np.array(matrices, dtype=complex)
+    except ValueError:  # ragged shapes
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ShapeError("representation matrices must share one square shape")
+    return stack
 
 
 def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
@@ -47,23 +60,19 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     larger means the matrices do not projectively represent the group.  Each
     table row g is checked as one batched product U(g) @ [U(h) for all h].
     """
-    mats = [np.asarray(u, dtype=complex) for u in matrices]
+    stack = _as_stack(matrices)
     n = group.order
-    if len(mats) != n:
-        raise DomainError(f"need {n} matrices, got {len(mats)}")
-    d = mats[0].shape[0]
+    if len(stack) != n:
+        raise DomainError(f"need {n} matrices, got {len(stack)}")
+    d = stack.shape[1]
     eye = np.eye(d)
-    for u in mats:
-        if u.shape != (d, d):
-            raise ShapeError("representation matrices must share one square shape")
-        if np.abs(u.conj().T @ u - eye).max() > ATOL * max(1.0, d):
-            raise DomainError("matrix is not unitary")
-    if np.abs(mats[group.identity] - eye).max() > ATOL:
+    if np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye).max() > ATOL * max(1.0, d):
+        raise DomainError("matrix is not unitary")
+    if np.abs(stack[group.identity] - eye).max() > ATOL:
         raise DomainError("identity element must map to the identity matrix")
-    stack = np.array(mats)
     omega = np.empty((n, n), dtype=complex)
     for g in range(n):
-        prods = mats[g] @ stack                      # [h] -> U(g) U(h)
+        prods = stack[g] @ stack                     # [h] -> U(g) U(h)
         targets = stack[group.mul[g]]                # [h] -> U(gh)
         om = np.sum(np.conj(prods) * targets, axis=(1, 2)) / d
         modulus = np.abs(om)
@@ -81,7 +90,7 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     e = group.identity
     if np.abs(omega[e, :] - 1).max() > PHASE_ATOL or np.abs(omega[:, e] - 1).max() > PHASE_ATOL:
         raise NotAProjectiveRepError("multiplier is not normalized at the identity")
-    rep = ProjectiveRep(group, d, mats, omega)
+    rep = ProjectiveRep(group, d, stack, omega)
     # a multiplier within ATOL of 1 meets the cocycle identity within 4 ATOL
     if not rep.is_unitary_rep():
         _check_cocycle(group, omega)
@@ -100,6 +109,13 @@ def _check_cocycle(group: grp.FiniteGroup, omega: np.ndarray):
         raise NotAProjectiveRepError(f"cocycle identity fails (defect {defect:.3e})")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a[...], b[...]) over broadcast leading axes, entrywise as np.kron."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    k = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (k, k))
+
+
 def conjugation_rep(rep: ProjectiveRep) -> ProjectiveRep:
     """Ordinary unitary representation L -> U(g) L U(g)* on operator space.
 
@@ -107,8 +123,7 @@ def conjugation_rep(rep: ProjectiveRep) -> ProjectiveRep:
     kron(U, conj(U)); the multiplier phases cancel and the identity operator
     line is always invariant.
     """
-    mats = [np.kron(u, u.conj()) for u in rep.matrices]
-    out = rep_from_matrices(rep.group, mats)
+    out = rep_from_matrices(rep.group, _kron(rep.matrices, rep.matrices.conj()))
     if not out.is_unitary_rep():
         raise InconsistencyError("conjugation representation kept a multiplier")
     return out
@@ -117,12 +132,8 @@ def conjugation_rep(rep: ProjectiveRep) -> ProjectiveRep:
 def regular_rep(group: grp.FiniteGroup) -> ProjectiveRep:
     """Permutation matrices of left translation on functions over the group."""
     n = group.order
-    mats = []
-    for g in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        for gp in range(n):
-            m[group.op(g, gp), gp] = 1.0
-        mats.append(m)
+    mats = np.zeros((n, n, n), dtype=complex)
+    mats[np.arange(n)[:, None], group.mul, np.arange(n)] = 1.0   # [g, gh, h]
     return rep_from_matrices(group, mats)
 
 
@@ -132,47 +143,52 @@ def restrict(rep: ProjectiveRep, columns: np.ndarray) -> ProjectiveRep:
     Non-invariance surfaces as a unitarity failure during revalidation.
     """
     b = np.asarray(columns, dtype=complex)
-    mats = [b.conj().T @ u @ b for u in rep.matrices]
-    return rep_from_matrices(rep.group, mats)
+    return rep_from_matrices(rep.group, b.conj().T @ rep.matrices @ b)
 
 
 def rep_to_json(rep: ProjectiveRep) -> dict:
     return {
         "group": grp.group_to_json(rep.group),
         "dim": rep.dim,
-        "matrices": [
-            [[[z.real, z.imag] for z in row] for row in u] for u in rep.matrices
-        ],
+        "matrices": encode_complex(rep.matrices),
     }
 
 
 def rep_from_json(data: dict) -> ProjectiveRep:
-    g = grp.group_from_json(data["group"])
-    mats = [np.array([[complex(re, im) for re, im in row] for row in u]) for u in data["matrices"]]
-    return rep_from_matrices(g, mats)
+    for key in ("group", "matrices"):
+        if not isinstance(data, dict) or key not in data:
+            raise DomainError(f"representation document lacks {key!r}")
+    mats = decode_complex(data["matrices"], "'matrices'")
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise DomainError(f"'matrices' of shape {mats.shape} is no stack of square matrices")
+    return rep_from_matrices(grp.group_from_json(data["group"]), mats)
 
 
 # --- duals -----------------------------------------------------------------
 
 @dataclass(eq=False)
 class Irrep:
-    """Irreducible unitary representation with its character."""
+    """Irreducible unitary representation with its character.
+
+    ``matrices`` becomes the validated ``(n, dim, dim)`` array.
+    """
 
     group: grp.FiniteGroup
     name: str
     dim: int
-    matrices: list
+    matrices: np.ndarray
     character: np.ndarray = field(init=False)
 
     def __post_init__(self):
         g = self.group
-        mats = [np.asarray(m, dtype=complex) for m in self.matrices]
-        self.matrices = mats
-        if any(m.shape != (self.dim, self.dim) for m in mats):
+        stack = _as_stack(self.matrices)
+        if stack.shape[1] != self.dim:
             raise ShapeError("irrep matrix of wrong shape")
-        if not rep_from_matrices(g, mats).is_unitary_rep():
+        rep = rep_from_matrices(g, stack)
+        if not rep.is_unitary_rep():
             raise DomainError("irrep is not a homomorphism")
-        self.character = np.array([np.trace(m) for m in mats])
+        self.matrices = rep.matrices
+        self.character = rep.character()
         norm = np.sum(np.abs(self.character) ** 2) / g.order
         if abs(norm - 1) > ATOL:
             raise DomainError(f"character norm {norm} != 1: not irreducible")
@@ -184,12 +200,7 @@ class Irrep:
 
 def _sign_character(group, name, plus_names):
     vals = [1.0 if nm in plus_names else -1.0 for nm in group.names]
-    return Irrep(group, name, 1, [np.array([[v]], dtype=complex) for v in vals])
-
-
-def _parse_product_kind(kind: str):
-    body = kind[len("product("):-1]
-    return grp._split_product_args(body)
+    return Irrep(group, name, 1, np.reshape(vals, (-1, 1, 1)))
 
 
 def irreps_of(group: grp.FiniteGroup) -> list:
@@ -204,11 +215,10 @@ def irreps_of(group: grp.FiniteGroup) -> list:
         raise NotImplementedError("group carries no construction tag")
     if kind.startswith("cyclic:"):
         n = group.order
-        out = [
-            Irrep(group, f"chi{j}", 1,
-                  [np.array([[np.exp(2j * np.pi * j * k / n)]]) for k in range(n)])
-            for j in range(n)
-        ]
+        k = np.arange(n)
+        # [j, k] -> exp(2 pi i j k / n), the phase rounded as (2 pi j) k / n
+        chars = np.exp(1j * (2 * np.pi * k[:, None] * k[None, :] / n))
+        out = [Irrep(group, f"chi{j}", 1, chars[j].reshape(n, 1, 1)) for j in range(n)]
     elif kind == "quaternion" or kind == "dihedral8":
         names = group.names
         out = [
@@ -219,25 +229,20 @@ def irreps_of(group: grp.FiniteGroup) -> list:
         ]
         mats = (grp.QUATERNION_MATRICES if kind == "quaternion"
                 else grp.DIHEDRAL8_MATRICES)
-        out.append(Irrep(group, "pi", 2, list(mats)))
+        out.append(Irrep(group, "pi", 2, mats))
     elif kind.startswith("product(") and kind.endswith(")"):
-        parts = _parse_product_kind(kind)
-        factors = [grp.build_group(p) for p in parts]
-        duals = [irreps_of(f) for f in factors]
+        duals = [irreps_of(grp.build_group(p))
+                 for p in grp._split_product_args(kind[len("product("):-1])]
         out = []
-        for combo in _combo_indices([len(d) for d in duals]):
-            chosen = [duals[i][c] for i, c in enumerate(combo)]
-            mats = []
-            for idx in range(group.order):
-                rem, comp_mats = idx, None
-                for f, irr in zip(reversed(factors), reversed(chosen)):
-                    rem, sub = divmod(rem, f.order)
-                    m = irr.matrices[sub]
-                    comp_mats = m if comp_mats is None else np.kron(m, comp_mats)
-                mats.append(comp_mats)
+        for chosen in itertools.product(*duals):
+            # element (a, b, ...) sits at a * #(rest) + ..., so fold from the
+            # right: kron(m1, kron(m2, m3)), as the product group is indexed
+            mats = chosen[-1].matrices
+            for irr in reversed(chosen[:-1]):
+                mats = _kron(irr.matrices[:, None], mats[None])
+                mats = mats.reshape(-1, *mats.shape[-2:])
             name = "x".join(irr.name for irr in chosen)
-            dim = int(np.prod([irr.dim for irr in chosen]))
-            out.append(Irrep(group, name, dim, mats))
+            out.append(Irrep(group, name, mats.shape[1], mats))
     else:
         raise NotImplementedError(f"no dual construction for kind {kind!r}")
     total = sum(irr.dim ** 2 for irr in out)
@@ -247,13 +252,6 @@ def irreps_of(group: grp.FiniteGroup) -> list:
     if np.abs(chars.conj() @ chars.T / group.order - np.eye(len(out))).max() > ATOL:
         raise InconsistencyError("characters are not orthogonal")
     return out
-
-
-def _combo_indices(sizes):
-    combos = [()]
-    for s in sizes:
-        combos = [c + (k,) for c in combos for k in range(s)]
-    return combos
 
 
 # --- isotypic decomposition -------------------------------------------------
@@ -275,6 +273,12 @@ class IsotypicDecomposition:
             if c.irrep.name == name:
                 return c.multiplicity
         raise KeyError(name)
+
+
+def _group_average(rep: ProjectiveRep, coeffs: np.ndarray) -> np.ndarray:
+    """(1/#G) sum_g coeffs[g] V(g), as one contraction over the stack."""
+    d = rep.dim
+    return (coeffs @ rep.matrices.reshape(-1, d * d)).reshape(d, d) / rep.group.order
 
 
 def isotypic_decompose(rep: ProjectiveRep, dual=None) -> IsotypicDecomposition:
@@ -301,10 +305,7 @@ def isotypic_decompose(rep: ProjectiveRep, dual=None) -> IsotypicDecomposition:
                 f"multiplicity of {irr.name} is {m}, not a nonnegative integer"
             )
         mult = int(round(m.real))
-        p = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for g in range(n):
-            p += np.conj(irr.character[g]) * rep.matrices[g]
-        p *= irr.dim / n
+        p = _group_average(rep, irr.dim * np.conj(irr.character))
         if np.abs(p @ p - p).max() > ATOL:
             raise InconsistencyError(f"projection for {irr.name} is not idempotent")
         if numerical_rank(p) != irr.dim * mult:
@@ -330,10 +331,7 @@ def is_cyclic_rep(decomp: IsotypicDecomposition) -> bool:
 # --- cyclic vectors ----------------------------------------------------------
 
 def _matrix_unit_projection(rep: ProjectiveRep, irr: Irrep, a: int, b: int) -> np.ndarray:
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for g in range(rep.group.order):
-        out += np.conj(irr.matrices[g][a, b]) * rep.matrices[g]
-    return out * (irr.dim / rep.group.order)
+    return _group_average(rep, irr.dim * np.conj(irr.matrices[:, a, b]))
 
 
 def isotypic_bases(decomp: IsotypicDecomposition) -> list:
@@ -384,8 +382,7 @@ def schmidt_ranks(decomp: IsotypicDecomposition, bases, v: np.ndarray) -> list:
 
 
 def cyclic_by_span(rep: ProjectiveRep, v: np.ndarray) -> bool:
-    cols = np.stack([u @ v for u in rep.matrices], axis=1)
-    return numerical_rank(cols) == rep.dim
+    return numerical_rank(rep.matrices @ v) == rep.dim
 
 
 def cyclic_by_schmidt(decomp: IsotypicDecomposition, bases, v: np.ndarray) -> bool:
@@ -450,9 +447,8 @@ def joint_eigenspaces(matrices) -> list:
     Returns orthonormal column blocks; every common eigenvector lies in
     exactly one of them.  Empty list when the family admits none.
     """
-    mats = [np.asarray(u, dtype=complex) for u in matrices]
-    n = mats[0].shape[0]
-    spaces = [np.eye(n, dtype=complex)]
+    mats = np.asarray(matrices, dtype=complex)
+    spaces = [np.eye(mats.shape[1], dtype=complex)]
     for u in mats:
         refined = []
         eigs = _eigenspaces(u)
@@ -620,7 +616,7 @@ def is_exact_multiplier(rep: ProjectiveRep):
     lines = joint_eigenspaces(rep.matrices)
     if lines:
         v = lines[0][:, 0]
-        c = np.array([v.conj() @ (u @ v) for u in rep.matrices])
+        c = (rep.matrices @ v) @ v.conj()
         if np.abs(np.abs(c) - 1).max() < PHASE_ATOL:
             f = np.conj(c / np.abs(c))
             if _verify_phase(group, omega, f):

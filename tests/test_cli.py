@@ -134,6 +134,25 @@ class TestAnalyze:
         assert code == 2
         assert "down" in err
 
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_no_falsifier_restarts_exits_2(self, tmp_path, capsys, restarts):
+        out = tmp_path / "id.json"
+        out.write_text(json.dumps(pv.povm_to_json(pv.Povm(2, [("all", np.eye(2))]))))
+        code, report, err = run_cli(
+            capsys, "analyze", str(out), "--pic", "--falsifier-restarts", restarts
+        )
+        assert code == 2
+        assert "restart" in err and "restart" in report["error"]
+
+    def test_out_of_range_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"dim": 1, "outcomes": [{"label": "x", "matrix": [[[1' + "0" * 400 + ', 0]]]}]}'
+        )
+        code, report, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert "outcome #0" in report["error"]
+
     def test_missing_file_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "/no/such/file.json")
         assert code == 3

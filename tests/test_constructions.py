@@ -57,6 +57,10 @@ class TestTables:
 
 
 class TestWeylHeisenberg:
+    def test_displacements_match_power_loop_bit_for_bit(self):
+        for d in (2, 3, 5, 8, 15):
+            assert np.array_equal(cx.wh_displacements(d), np.array(wh_matrices(d)))
+
     def test_d2_handpicked_seed_is_ic(self):
         phi = np.array([1.0, 2.0 * np.exp(1j * np.pi / 4)])
         phi /= np.linalg.norm(phi)

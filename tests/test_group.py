@@ -180,3 +180,16 @@ class TestValidationAndJson:
         assert back.names == quaternion.names
         assert np.all(back.mul == quaternion.mul)
         assert back.order_census() == quaternion.order_census()
+
+    @pytest.mark.parametrize("field", ["order", "names", "mul"])
+    def test_missing_field_named(self, quaternion, field):
+        data = grp.group_to_json(quaternion)
+        del data[field]
+        with pytest.raises(DomainError, match=field):
+            grp.group_from_json(data)
+
+    def test_garbled_table_rejected(self, quaternion):
+        data = grp.group_to_json(quaternion)
+        data["mul"] = [[0, 1], [1]]
+        with pytest.raises(DomainError):
+            grp.group_from_json(data)

@@ -261,6 +261,12 @@ class TestFalsifier:
         assert np.array_equal(a.psi, b.psi)
         assert a.restart == b.restart
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_no_restarts_rejected(self, restarts):
+        span = pv.operator_span(single_identity_povm(3))
+        with pytest.raises(DomainError, match="restart"):
+            pv.falsify(span, pv.FalsifierSettings(restarts=restarts))
+
 
 class TestCheckPic:
     def test_ic_observable_is_certified_with_empty_complement(self, wh3_observable):
@@ -326,6 +332,78 @@ class TestJson:
         assert back.labels == quat3_observable.labels
         for (_, a), (_, b) in zip(back.outcomes, quat3_observable.outcomes):
             assert np.array_equal(a, b)
+
+    def test_round_trip_is_bit_exact(self, quat3_observable, wh3_observable):
+        # the JSON floats are the effects' own doubles, signed zeros included
+        a = np.array([[1, -0.0], [-0.0, -0.0]], dtype=complex)
+        a.imag = -0.0
+        signed = pv.Povm(2, [("a", a), ("b", np.eye(2) - a)])
+        assert np.signbit(signed.ops.view(float)).any()
+        for povm in (quat3_observable, wh3_observable, signed):
+            back = pv.povm_from_json(pv.povm_to_json(povm))
+            assert np.array_equal(back.ops, povm.ops)
+            assert np.array_equal(back.ops.view(np.int64), povm.ops.view(np.int64))
+
+
+def identity_doc(**changes):
+    identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    doc = {"dim": 2, "outcomes": [{"label": "all", "matrix": identity}]}
+    doc.update(changes)
+    return doc
+
+
+def identity_doc_with_entry(entry):
+    doc = identity_doc()
+    doc["outcomes"][0]["matrix"][0][1] = entry
+    return doc
+
+
+class TestJsonBoundary:
+    def test_well_formed_document_passes(self):
+        assert len(pv.povm_from_json(identity_doc())) == 1
+
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, 0, -1, "2", None])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(DomainError, match="dim"):
+            pv.povm_from_json(identity_doc(dim=dim))
+
+    def test_dim_zero_without_outcomes_rejected(self):
+        with pytest.raises(DomainError):
+            pv.povm_from_json({"dim": 0, "outcomes": []})
+
+    @pytest.mark.parametrize("outcomes", [[], None, {}, "x"])
+    def test_outcomes_must_be_a_non_empty_list(self, outcomes):
+        with pytest.raises(DomainError, match="outcomes"):
+            pv.povm_from_json(identity_doc(outcomes=outcomes))
+
+    @pytest.mark.parametrize("entry", [
+        [10 ** 400, 0],          # beyond the double range
+        [float("inf"), 0],
+        ["0", 0],                # a string
+        [None, 0],               # null
+        [0],                     # not a pair
+        [0, 0, 0],
+        "00",
+    ])
+    def test_entries_must_be_finite_number_pairs(self, entry):
+        with pytest.raises(DomainError, match="outcome #0"):
+            pv.povm_from_json(identity_doc_with_entry(entry))
+
+    def test_ragged_rows_rejected(self):
+        doc = identity_doc()
+        doc["outcomes"][0]["matrix"][1].append([0, 0])
+        with pytest.raises(DomainError, match="outcome #0"):
+            pv.povm_from_json(doc)
+
+    def test_wrong_matrix_shape_names_label(self):
+        doc = identity_doc()
+        doc["outcomes"][0]["matrix"] = [[[1, 0]]]
+        with pytest.raises(DomainError, match="'all'"):
+            pv.povm_from_json(doc)
+
+    def test_outcome_without_matrix_rejected(self):
+        with pytest.raises(DomainError, match="outcome #0"):
+            pv.povm_from_json(identity_doc(outcomes=[{"label": "all"}]))
 
     def test_non_psd_outcome_named(self):
         bad = {

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -87,8 +88,40 @@ class TestRepFromMatrices:
         for a, b in zip(back.matrices, quat3_rep.matrices):
             assert np.allclose(a, b)
 
+    def test_matrices_are_one_array(self, quat3_rep, wh_rep_d3):
+        for rep in (quat3_rep, wh_rep_d3, rp.regular_rep(quat3_rep.group)):
+            n = rep.group.order
+            assert isinstance(rep.matrices, np.ndarray)
+            assert rep.matrices.shape == (n, rep.dim, rep.dim)
+            assert rep.matrices.dtype == complex
+
+    @pytest.mark.parametrize("field", ["group", "matrices"])
+    def test_json_missing_field_named(self, quat3_rep, field):
+        data = rp.rep_to_json(quat3_rep)
+        del data[field]
+        with pytest.raises(DomainError, match=field):
+            rp.rep_from_json(data)
+
+    @pytest.mark.parametrize("matrices", [
+        "garbage",
+        [[[["1", 0]]]],
+        [[[[1, 0], [0, 0]], [[0, 0]]]],    # ragged rows
+        [[[[1, 0], [0, 0]]]],              # not square
+        [[[[1, 0, 0]]]],                   # not pairs
+    ])
+    def test_json_garbled_matrices_named(self, quat3_rep, matrices):
+        data = rp.rep_to_json(quat3_rep)
+        data["matrices"] = matrices
+        with pytest.raises(DomainError, match="matrices"):
+            rp.rep_from_json(data)
+
 
 class TestConjugationRep:
+    def test_matches_kron_loop_bit_for_bit(self, quat3_rep, wh_rep_d3):
+        for rep in (quat3_rep, wh_rep_d3):
+            reference = np.array([np.kron(u, u.conj()) for u in rep.matrices])
+            assert np.array_equal(rp.conjugation_rep(rep).matrices, reference)
+
     def test_trivial_rep_stays_trivial(self):
         g = grp.cyclic_group(3)
         rep = rp.rep_from_matrices(g, [np.eye(1, dtype=complex)] * 3)
@@ -145,6 +178,32 @@ class TestIrreps:
         dual = rp.irreps_of(g)
         assert len(dual) == 8
         assert all(irr.dim == 1 for irr in dual)
+
+    @pytest.mark.parametrize("kind", [
+        "product(cyclic:3,cyclic:4,cyclic:5)", "product(quaternion,dihedral8)",
+    ])
+    def test_product_dual_matches_kron_loop_bit_for_bit(self, kind):
+        group = grp.build_group(kind)
+        # the kind tag nests: product(product(cyclic:3,cyclic:4),cyclic:5)
+        factors = [grp.build_group(p)
+                   for p in grp._split_product_args(group.kind[len("product("):-1])]
+        duals = [rp.irreps_of(f) for f in factors]
+        dual = rp.irreps_of(group)
+        assert len(dual) == int(np.prod([len(d) for d in duals]))
+        for irr, chosen in zip(dual, itertools.product(*duals)):
+            assert irr.name == "x".join(c.name for c in chosen)
+            reference = []
+            for idx in range(group.order):
+                subs = []
+                for f in reversed(factors):
+                    idx, sub = divmod(idx, f.order)
+                    subs.append(sub)
+                m = None
+                for c, sub in zip(reversed(chosen), subs):
+                    m = c.matrices[sub] if m is None else np.kron(c.matrices[sub], m)
+                reference.append(m)
+            assert np.array_equal(irr.matrices, np.array(reference))
+            assert np.array_equal(irr.character, np.array([np.trace(m) for m in reference]))
 
     def test_schur_orthogonality(self, quaternion, dihedral):
         for g in (quaternion, dihedral):
