@@ -344,6 +344,27 @@ class TestJson:
             assert np.array_equal(back.ops, povm.ops)
             assert np.array_equal(back.ops.view(np.int64), povm.ops.view(np.int64))
 
+    def test_non_psd_outcome_named(self):
+        bad = {
+            "dim": 2,
+            "outcomes": [
+                {"label": "good", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+                {"label": "bad", "matrix": [[[0, 0], [0, 0]], [[0, 0], [-1e-3, 0]]]},
+            ],
+        }
+        # adjust so the family sums to identity but one operator dips negative
+        bad["outcomes"][1]["matrix"] = [[[0, 0], [0, 0]], [[0, 0], [1.001, 0]]]
+        bad["outcomes"].append(
+            {"label": "rest", "matrix": [[[0, 0], [0, 0]], [[0, 0], [-0.001, 0]]]}
+        )
+        with pytest.raises(DomainError) as err:
+            pv.povm_from_json(bad)
+        assert "rest" in str(err.value)
+
+    def test_missing_fields_rejected(self):
+        with pytest.raises(DomainError):
+            pv.povm_from_json({"outcomes": []})
+
 
 def identity_doc(**changes):
     identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -404,24 +425,3 @@ class TestJsonBoundary:
     def test_outcome_without_matrix_rejected(self):
         with pytest.raises(DomainError, match="outcome #0"):
             pv.povm_from_json(identity_doc(outcomes=[{"label": "all"}]))
-
-    def test_non_psd_outcome_named(self):
-        bad = {
-            "dim": 2,
-            "outcomes": [
-                {"label": "good", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
-                {"label": "bad", "matrix": [[[0, 0], [0, 0]], [[0, 0], [-1e-3, 0]]]},
-            ],
-        }
-        # adjust so the family sums to identity but one operator dips negative
-        bad["outcomes"][1]["matrix"] = [[[0, 0], [0, 0]], [[0, 0], [1.001, 0]]]
-        bad["outcomes"].append(
-            {"label": "rest", "matrix": [[[0, 0], [0, 0]], [[0, 0], [-0.001, 0]]]}
-        )
-        with pytest.raises(DomainError) as err:
-            pv.povm_from_json(bad)
-        assert "rest" in str(err.value)
-
-    def test_missing_fields_rejected(self):
-        with pytest.raises(DomainError):
-            pv.povm_from_json({"outcomes": []})
