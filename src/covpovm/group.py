@@ -316,14 +316,24 @@ def group_to_json(g: FiniteGroup) -> dict:
     }
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def group_from_json(data: dict) -> FiniteGroup:
     for key in ("order", "names", "mul"):
         if not isinstance(data, dict) or key not in data:
             raise DomainError(f"group document lacks {key!r}")
+    order, mul = data["order"], data["mul"]
+    if not _is_json_int(order):
+        raise DomainError(f"malformed group document: 'order' must be an integer, got {order!r}")
+    if not isinstance(mul, list) or not all(
+        isinstance(row, list) and all(map(_is_json_int, row)) for row in mul
+    ):
+        raise DomainError("malformed group document: 'mul' must be a table of integers")
     try:
-        order = int(data["order"])
         names = tuple(str(x) for x in data["names"])
-        mul = np.asarray(data["mul"], dtype=int)
+        mul = np.asarray(mul, dtype=int)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed group document ({exc})") from exc
     if len(names) != order:

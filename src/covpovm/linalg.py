@@ -55,15 +55,23 @@ def encode_complex(a) -> list:
 
 
 def decode_complex(data, what: str) -> np.ndarray:
-    """Inverse of :func:`encode_complex`, accepting finite numeric pairs only."""
+    """Inverse of :func:`encode_complex`, accepting finite numeric pairs only.
+
+    Every element must be an integer or a float; booleans, which numpy would
+    read as 1 and 0, are refused like strings and nulls.
+    """
     try:
-        raw = np.array(data)
+        raw = np.array(data, dtype=object)
     except ValueError:  # ragged nesting
         raw = None
-    if raw is None or raw.dtype.kind not in "iuf" or raw.ndim == 0 or raw.shape[-1] != 2:
-        raise DomainError(f"{what} is not an array of [re, im] pairs of 64-bit numbers")
-    pairs = np.ascontiguousarray(raw, dtype=float)
-    if not np.all(np.isfinite(pairs)):
+    if (raw is None or raw.ndim == 0 or raw.shape[-1] != 2
+            or not set(map(type, raw.flat)) <= {int, float}):
+        raise DomainError(f"{what} is not an array of [re, im] pairs of numbers")
+    try:
+        pairs = raw.astype(float)
+    except OverflowError:  # an integer beyond the double range
+        pairs = None
+    if pairs is None or not np.all(np.isfinite(pairs)):
         raise DomainError(f"{what} has non-finite or out-of-range entries")
     return pairs.view(complex)[..., 0]
 

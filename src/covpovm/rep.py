@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -61,6 +60,8 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     table row g is checked as one batched product U(g) @ [U(h) for all h].
     """
     stack = _as_stack(matrices)
+    if not np.all(np.isfinite(stack)):
+        raise DomainError("representation matrices have non-finite entries")
     n = group.order
     if len(stack) != n:
         raise DomainError(f"need {n} matrices, got {len(stack)}")
@@ -473,176 +474,48 @@ def _verify_phase(group, omega, f) -> bool:
     return bool(np.abs(_coboundary(group, f) - omega).max() <= ATOL)
 
 
-def _full_order_generator(group: grp.FiniteGroup):
+def _generating_set(group: grp.FiniteGroup) -> list:
+    """Greedy generators: each element outside the subgroup of the earlier ones.
+
+    Every addition at least doubles the generated subgroup, so at most
+    log2 #G elements are taken.
+    """
+    gens, members = [], {group.identity}
     for a in range(group.order):
-        if group.element_order(a) == group.order:
-            return a
-    return None
-
-
-def _cyclic_exact_phase(rep: ProjectiveRep, g0: int) -> np.ndarray:
-    """Closed-form trivializing phase when the group is cyclic.
-
-    Powers of U(g0) differ from the representing matrices only by scalars
-    alpha(k); absorbing the d-th root of alpha(#G) into U(g0) turns the
-    power map into an honest representation and yields the phase function.
-    """
-    group = rep.group
-    n = group.order
-    d = rep.dim
-    u0 = rep.matrices[g0]
-    # walk powers of g0, recording alpha(k) with U(g0)^k = alpha(k) U(g0^k)
-    alphas = np.empty(n, dtype=complex)
-    elems = np.empty(n, dtype=int)
-    power = np.eye(d, dtype=complex)
-    elem = group.identity
-    for k in range(n):
-        scal = np.sum(np.conj(rep.matrices[elem]) * power) / d
-        alphas[k] = scal / abs(scal)
-        elems[k] = elem
-        power = u0 @ power
-        elem = group.op(g0, elem)
-    # the loop leaves power = U(g0)^n = alpha(n) * identity
-    scal = np.trace(power) / d
-    theta = np.angle(scal / abs(scal))
-    f = np.empty(n, dtype=complex)
-    for k in range(n):
-        f[elems[k]] = np.exp(-1j * k * theta / n) * alphas[k]
-    return f
-
-
-def _solve_congruence(a_rows, b, modulus):
-    """Particular solution of A y = b (mod modulus) over the integers.
-
-    Diagonalizes A with integer row and column operations (column ops
-    accumulate into V so y = V z) and solves each scalar congruence on the
-    diagonal.  Returns None when the system is infeasible.
-    """
-    a = [list(map(int, row)) for row in a_rows]
-    b = [int(x) % modulus for x in b]
-    m, n = len(a), len(a[0])
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    rank = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(rank, m):
-            row = a[i]
-            for j in range(rank, n):
-                val = row[j]
-                if val and (best is None or abs(val) < best):
-                    best = abs(val)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[rank], a[i0] = a[i0], a[rank]
-        b[rank], b[i0] = b[i0], b[rank]
-        if j0 != rank:
-            for row in a:
-                row[rank], row[j0] = row[j0], row[rank]
-            for row in v:
-                row[rank], row[j0] = row[j0], row[rank]
-        while True:
-            clean = True
-            piv = a[rank][rank]
-            for i in range(rank + 1, m):
-                if a[i][rank]:
-                    q = a[i][rank] // piv
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[rank])]
-                        b[i] -= q * b[rank]
-                    if a[i][rank]:
-                        a[rank], a[i] = a[i], a[rank]
-                        b[rank], b[i] = b[i], b[rank]
-                        clean = False
-                        break
-            if not clean:
-                continue
-            piv = a[rank][rank]
-            for j in range(rank + 1, n):
-                if a[rank][j]:
-                    q = a[rank][j] // piv
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[rank]
-                        for row in v:
-                            row[j] -= q * row[rank]
-                    if a[rank][j]:
-                        for row in a:
-                            row[rank], row[j] = row[j], row[rank]
-                        for row in v:
-                            row[rank], row[j] = row[j], row[rank]
-                        clean = False
-                        break
-            if clean:
-                break
-        rank += 1
-    z = [0] * n
-    for t in range(rank):
-        d = a[t][t]
-        g = gcd(d, modulus)
-        if b[t] % g:
-            return None
-        md = modulus // g
-        z[t] = (b[t] // g) * pow(d // g, -1, md) % md
-    for i in range(rank, m):
-        if b[i] % modulus:
-            return None
-    return [sum(v[i][j] * z[j] for j in range(n)) % modulus for i in range(n)]
+        if a not in members:
+            gens.append(a)
+            members = set(grp.subgroup_generated(group, gens).members)
+    return gens
 
 
 def is_exact_multiplier(rep: ProjectiveRep):
     """Decide whether the multiplier is a coboundary; return the phase if so.
 
-    Three routes, cheapest first: the closed form for cyclic groups, the
-    common-eigenvector construction, and finally an exhaustive congruence
-    solve.  For the last route the multiplier is first normalized by the
-    cocycle norm N(g) = prod_k omega(g, k), which forces the remaining values
-    onto #G-th roots of unity; a trivializing phase, if one exists at all,
-    then lives on the (#G)^2 grid and the integer system decides exactly.
-    Every returned phase is verified against the multiplier before use.
+    The test runs on the omega-twisted regular representation
+    L(a) e_h = conj(omega(a, h)) e_{ah}, which carries the multiplier omega.
+    omega is exact exactly when L has a common eigenline, and the test is
+    complete for every finite group: if omega = delta f, then L fixes the line
+    of sum_h f(h) e_h with eigenvalues conj(f); conversely a common
+    eigenvector v with L(g) v = lambda(g) v gives
+    omega(a, b) = lambda(ab) / (lambda(a) lambda(b)).  Eigenlines are sought
+    on a generating set only, since L(g) of any product is a scalar times a
+    product of generator matrices.  The returned phase f = conj(lambda) is
+    verified against the multiplier before use.
     """
     group = rep.group
     omega = rep.multiplier
     n = group.order
     if rep.is_unitary_rep():
         return True, np.ones(n, dtype=complex)
-    g0 = _full_order_generator(group)
-    if g0 is not None:
-        f = _cyclic_exact_phase(rep, g0)
-        if _verify_phase(group, omega, f):
-            return True, f
-    lines = joint_eigenspaces(rep.matrices)
-    if lines:
-        v = lines[0][:, 0]
-        c = (rep.matrices @ v) @ v.conj()
-        if np.abs(np.abs(c) - 1).max() < PHASE_ATOL:
-            f = np.conj(c / np.abs(c))
-            if _verify_phase(group, omega, f):
-                return True, f
-    # norm reduction: omega' = omega / coboundary(f0) has values in mu_n
-    norm = np.prod(omega, axis=1)
-    f0 = np.exp(1j * np.angle(norm) / n)
-    omega_p = omega * np.conj(_coboundary(group, f0))
-    modulus = n * n
-    angles = np.angle(omega_p) / (2 * np.pi) * modulus
-    w = np.rint(angles).astype(int)
-    if np.abs(angles - w).max() > PHASE_ATOL * modulus:
-        raise InconsistencyError("normalized multiplier left the root-of-unity grid")
-    rows, rhs = [], []
-    for g in range(n):
-        for h in range(n):
-            row = [0] * n
-            row[g] += 1
-            row[h] += 1
-            row[group.op(g, h)] -= 1
-            rows.append(row)
-            rhs.append(int(w[g, h]))
-    y = _solve_congruence(rows, rhs, modulus)
-    if y is None:
+    gens = _generating_set(group)
+    twisted = np.zeros((len(gens), n, n), dtype=complex)      # [a, ah, h]
+    twisted[np.arange(len(gens))[:, None], group.mul[gens], np.arange(n)] = np.conj(omega[gens])
+    lines = joint_eigenspaces(twisted)
+    if not lines:
         return False, None
-    f = f0 * np.exp(2j * np.pi * np.array(y) / modulus)
+    v = lines[0][:, 0]
+    lam = np.conj(v[group.mul] * omega) @ v              # [g] -> <v, L(g) v>
+    f = np.conj(lam / np.abs(lam))
     if not _verify_phase(group, omega, f):
-        raise InconsistencyError("congruence solution failed phase verification")
+        raise InconsistencyError("twisted regular eigenline failed phase verification")
     return True, f

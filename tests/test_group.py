@@ -188,6 +188,16 @@ class TestValidationAndJson:
         with pytest.raises(DomainError, match=field):
             grp.group_from_json(data)
 
+    @pytest.mark.parametrize("field, value", [
+        ("order", 2.0), ("order", True), ("order", "2"),
+        ("mul", [[0, 1.7], [True, 0]]), ("mul", [[0, 1], [1, 0.0]]), ("mul", [[0, 1], [True, 0]]),
+    ])
+    def test_non_integer_fields_rejected(self, field, value):
+        data = {"order": 2, "names": ["e", "a"], "mul": [[0, 1], [1, 0]]}
+        data[field] = value
+        with pytest.raises(DomainError, match=field):
+            grp.group_from_json(data)
+
     def test_garbled_table_rejected(self, quaternion):
         data = grp.group_to_json(quaternion)
         data["mul"] = [[0, 1], [1]]

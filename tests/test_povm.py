@@ -410,6 +410,12 @@ class TestJsonBoundary:
         with pytest.raises(DomainError, match="outcome #0"):
             pv.povm_from_json(identity_doc_with_entry(entry))
 
+    @pytest.mark.parametrize("matrix", [[[[True, 0]]], [[[1, False]]], [[[1.0, False]]]])
+    def test_boolean_entries_rejected(self, matrix):
+        doc = {"dim": 1, "outcomes": [{"label": "all", "matrix": matrix}]}
+        with pytest.raises(DomainError, match="outcome #0"):
+            pv.povm_from_json(doc)
+
     def test_ragged_rows_rejected(self):
         doc = identity_doc()
         doc["outcomes"][0]["matrix"][1].append([0, 0])

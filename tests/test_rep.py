@@ -52,6 +52,11 @@ class TestRepFromMatrices:
         with pytest.raises(DomainError):
             rp.rep_from_matrices(quaternion, mats)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrices_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            rp.rep_from_matrices(grp.cyclic_group(2), [np.eye(1), [[bad]]])
+
     def test_scrambled_assignment_rejected(self, quat3_rep):
         mats = list(quat3_rep.matrices)
         mats[2], mats[4] = mats[4], mats[2]
@@ -393,8 +398,8 @@ class TestExactMultiplier:
             assert f is None
 
     def test_twisted_irreducible_rep_detected_by_congruence_path(self, quaternion):
-        # no invariant line, multiplier exact by construction; only the
-        # integer solve can certify it
+        # no invariant line of U, multiplier exact by construction; the
+        # twisted regular representation still has a common eigenline
         rng = np.random.default_rng(17)
         phases = np.exp(2j * np.pi * rng.random(8))
         phases[quaternion.identity] = 1.0
@@ -421,10 +426,9 @@ class TestExactMultiplier:
         assert rp.rep_from_matrices(g, fixed).is_unitary_rep()
 
     def test_invariant_line_path_returns_verified_phase(self):
-        # non-cyclic abelian group, twisted diagonal rep: the closed form
-        # does not apply, but every basis line is invariant, so the
-        # common-eigenvector route must produce a phase satisfying the
-        # coboundary equation on the whole multiplier table
+        # non-cyclic abelian group, twisted diagonal rep: every basis line
+        # is invariant, and the returned phase must satisfy the coboundary
+        # equation on the whole multiplier table
         g = grp.build_group("product(cyclic:2,cyclic:2)")
         rng = np.random.default_rng(21)
         phases = np.exp(2j * np.pi * rng.random(4))
@@ -436,8 +440,40 @@ class TestExactMultiplier:
             np.diag([-1.0, -1.0]).astype(complex),
         ]
         rep = rp.rep_from_matrices(g, [p * m for p, m in zip(phases, base)])
-        assert rp._full_order_generator(g) is None
         assert len(rp.joint_eigenspaces(rep.matrices)) > 0
+        ok, f = rp.is_exact_multiplier(rep)
+        assert ok
+        assert np.abs(rp._coboundary(g, f) - rep.multiplier).max() < 1e-8
+
+    def test_wh15_is_not_exact(self):
+        ok, f = rp.is_exact_multiplier(make_wh_rep(15))
+        assert not ok
+        assert f is None
+
+    def test_non_abelian_pauli_twist_is_not_exact(self):
+        # quaternion x Z2 x Z2 acting by q (x) X^a Z^b: the Z2 x Z2 factor
+        # carries the non-exact Pauli multiplier
+        g = grp.build_group("product(quaternion,cyclic:2,cyclic:2)")
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        z = np.diag([1.0, -1.0]).astype(complex)
+        mats = [
+            np.kron(q, np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b))
+            for q in grp.QUATERNION_MATRICES for a in range(2) for b in range(2)
+        ]
+        rep = rp.rep_from_matrices(g, mats)
+        assert not rep.is_unitary_rep()
+        ok, f = rp.is_exact_multiplier(rep)
+        assert not ok
+        assert f is None
+
+    def test_twisted_order64_irrep_is_exact(self):
+        g = grp.build_group("product(quaternion,dihedral8)")
+        irr = next(i for i in rp.irreps_of(g) if i.dim == 4)
+        rng = np.random.default_rng(64)
+        phases = np.exp(2j * np.pi * rng.random(g.order))
+        phases[g.identity] = 1.0
+        rep = rp.rep_from_matrices(g, phases[:, None, None] * irr.matrices)
+        assert not rep.is_unitary_rep()
         ok, f = rp.is_exact_multiplier(rep)
         assert ok
         assert np.abs(rp._coboundary(g, f) - rep.multiplier).max() < 1e-8
