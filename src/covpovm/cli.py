@@ -73,10 +73,22 @@ def _validation_dict(report: pv.PovmValidation) -> dict:
 
 
 def _write_povm(povm: pv.Povm, path: str) -> None:
+    """Write the POVM document with one outcome per line.
+
+    Each outcome is one ``json.dumps`` call, which runs on the C encoder
+    (``indent`` would select the pure-Python one), and only one line is held
+    as text at a time.
+    """
+    doc = pv.povm_to_json(povm)
+    outcomes = doc.pop("outcomes")
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(pv.povm_to_json(povm), fh, indent=2)
-            fh.write("\n")
+            # the frame: every key but the outcomes, then the open list
+            fh.write(json.dumps(doc)[:-1] + ', "outcomes": [\n')
+            for pos, entry in enumerate(outcomes):
+                fh.write(json.dumps(entry))
+                fh.write(",\n" if pos < len(outcomes) - 1 else "\n")
+            fh.write("]}\n")
     except OSError as exc:
         raise _IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -97,9 +109,10 @@ def _cmd_construct(args) -> int:
             seed = np.eye(args.dim, dtype=complex) / args.dim ** 2
         else:
             seed = cx.default_wh_seed(args.dim, args.rng_seed)
-        povm, _rep = cx.build_weyl_heisenberg(
+        # the representation is not kept: its arrays are freed before the write
+        povm = cx.build_weyl_heisenberg(
             cx.WhParams(args.dim, seed, require_ic=not args.mixed)
-        )
+        )[0]
         provenance = {"construction": "weyl-heisenberg", "parameters": dict(inputs)}
     elif args.kind in ("quat3", "dihedral3"):
         choice = "quaternion" if args.kind == "quat3" else "dihedral"
@@ -221,7 +234,10 @@ def _cmd_group(args) -> int:
     summary = f"{args.kind}: order {group.order}, abelian={group.is_abelian()}"
     exit_code = 0
     if args.cosets is not None:
-        members = [group.index_of(name.strip()) for name in args.cosets.split(",")]
+        # product elements are named "(a,b)": split at top-level commas only
+        members = [
+            group.index_of(name.strip()) for name in grp._split_product_args(args.cosets)
+        ]
         sub = grp.subgroup_generated(group, members)
         cosets = grp.coset_space(group, sub)
         verdicts["subgroup"] = list(sub.names())

@@ -55,6 +55,8 @@ def is_prime(n: int) -> bool:
 
 def general_bound(d: int) -> tuple:
     """Bracket [4d - 4 - floor(2 log2 d), 4d - 4] for the minimal count."""
+    if d < 2:
+        raise DomainError("dimension must be at least 2")
     high = 4 * d - 4
     return high - math.floor(2 * math.log2(d)), high
 
@@ -88,7 +90,10 @@ class MinOutcomeRecord:
 
 
 def minimal_pic_outcomes(d: int) -> MinOutcomeRecord:
-    """Tabulated minimal outcome count; unknown dimensions carry the bound."""
+    """Tabulated minimal outcome count; unknown dimensions carry the bound.
+
+    Dimensions below 2 are not tabulated and have no bound: DomainError.
+    """
     if d in MIN_OUTCOMES_BY_DIM:
         val = MIN_OUTCOMES_BY_DIM[d]
     elif d in PRIME_MIN_OUTCOMES_BY_DIM:

@@ -324,18 +324,22 @@ def group_from_json(data: dict) -> FiniteGroup:
     for key in ("order", "names", "mul"):
         if not isinstance(data, dict) or key not in data:
             raise DomainError(f"group document lacks {key!r}")
-    order, mul = data["order"], data["mul"]
+    order, names, mul = data["order"], data["names"], data["mul"]
     if not _is_json_int(order):
         raise DomainError(f"malformed group document: 'order' must be an integer, got {order!r}")
+    # a string would split into characters, a repeated name make index_of ambiguous
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise DomainError("malformed group document: 'names' must be a list of strings")
+    if len(set(names)) != len(names):
+        raise DomainError("malformed group document: 'names' repeats an element name")
     if not isinstance(mul, list) or not all(
         isinstance(row, list) and all(map(_is_json_int, row)) for row in mul
     ):
         raise DomainError("malformed group document: 'mul' must be a table of integers")
     try:
-        names = tuple(str(x) for x in data["names"])
         mul = np.asarray(mul, dtype=int)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed group document ({exc})") from exc
     if len(names) != order:
         raise DomainError("order field disagrees with the name list")
-    return FiniteGroup(names, mul)
+    return FiniteGroup(tuple(names), mul)

@@ -58,6 +58,11 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     residual ||U(gh) - omega U(g)U(h)|| must vanish within ATOL; anything
     larger means the matrices do not projectively represent the group.  Each
     table row g is checked as one batched product U(g) @ [U(h) for all h].
+    The rows share four ``(n, d, d)`` work arrays, allocated once and filled
+    in place, so memory stays at a few stack sizes and no row allocates
+    another; the cocycle check likewise reuses its ``(n, n)`` arrays.  The
+    gathers use ``mode="clip"``, which writes straight into its buffer where
+    the default mode would stage a copy; a validated table never clips.
     """
     stack = _as_stack(matrices)
     if not np.all(np.isfinite(stack)):
@@ -72,14 +77,22 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     if np.abs(stack[group.identity] - eye).max() > ATOL:
         raise DomainError("identity element must map to the identity matrix")
     omega = np.empty((n, n), dtype=complex)
+    prods = np.empty_like(stack)                     # [h] -> U(g) U(h)
+    targets = np.empty_like(stack)                   # [h] -> U(gh)
+    work = np.empty_like(stack)
+    moduli = np.empty(stack.shape)
     for g in range(n):
-        prods = stack[g] @ stack                     # [h] -> U(g) U(h)
-        targets = stack[group.mul[g]]                # [h] -> U(gh)
-        om = np.sum(np.conj(prods) * targets, axis=(1, 2)) / d
+        np.matmul(stack[g], stack, out=prods)
+        np.take(stack, group.mul[g], axis=0, out=targets, mode="clip")
+        np.conjugate(prods, out=work)
+        work *= targets
+        om = work.sum(axis=(1, 2)) / d
         modulus = np.abs(om)
         not_unimodular = np.abs(modulus - 1) > PHASE_ATOL
         om /= np.where(not_unimodular, 1.0, modulus)
-        residual = np.abs(targets - om[:, None, None] * prods).max(axis=(1, 2))
+        prods *= om[:, None, None]
+        np.subtract(targets, prods, out=work)
+        residual = np.abs(work, out=moduli).max(axis=(1, 2))
         failed = not_unimodular | (residual > ATOL * max(1.0, d))
         if failed.any():
             h = int(np.argmax(failed))
@@ -102,10 +115,17 @@ def _check_cocycle(group: grp.FiniteGroup, omega: np.ndarray):
     # omega(g, hk) omega(h, k) = omega(g, h) omega(gh, k), all triples, one
     # g at a time: [h, k] -> omega(g, hk), omega(h, k), omega(g, h), omega(gh, k)
     mul = group.mul
-    defect = max(
-        np.abs(omega[g, mul] * omega - omega[g][:, None] * omega[mul[g]]).max()
-        for g in range(group.order)
-    )
+    left = np.empty_like(omega)
+    right = np.empty_like(omega)
+    moduli = np.empty(omega.shape)
+    defect = 0.0
+    for g in range(group.order):
+        np.take(omega[g], mul, out=left, mode="clip")
+        left *= omega
+        np.take(omega, mul[g], axis=0, out=right, mode="clip")
+        right *= omega[g][:, None]
+        left -= right
+        defect = max(defect, np.abs(left, out=moduli).max())
     if defect > PHASE_ATOL:
         raise NotAProjectiveRepError(f"cocycle identity fails (defect {defect:.3e})")
 

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covpovm import cli
+from covpovm import constructions as cx
 from covpovm import povm as pv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +69,28 @@ class TestConstruct:
         assert code == 0
         povm = pv.povm_from_json(json.loads(out.read_text()))
         assert pv.operator_span(povm).dim == 8
+
+    @pytest.mark.parametrize("argv, build", [
+        (["wh", "--dim", "3", "--rng-seed", "7"],
+         lambda: cx.build_weyl_heisenberg(
+             cx.WhParams(3, cx.default_wh_seed(3, 7), require_ic=True))[0]),
+        (["wh", "--dim", "3", "--mixed"],
+         lambda: cx.build_weyl_heisenberg(cx.WhParams(3, np.eye(3) / 9))[0]),
+        (["quat3"], lambda: cx.build_quat3_pic()[0]),
+    ], ids=["wh3", "wh3-mixed", "quat3"])
+    def test_written_file_has_one_outcome_per_line(self, tmp_path, capsys, argv, build):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            code, _, _ = run_cli(capsys, "construct", *argv, "-o", str(path))
+            assert code == 0
+        text = paths[0].read_text()
+        assert paths[1].read_text() == text
+        povm = build()
+        lines = text.splitlines()
+        assert len(lines) == len(povm) + 2
+        for label, line in zip(povm.labels, lines[1:-1]):
+            assert json.loads(line.rstrip(","))["label"] == label
+        assert json.loads(text) == pv.povm_to_json(povm)
 
     def test_unwritable_path_exits_3(self, capsys):
         code, report, err = run_cli(
@@ -208,6 +237,14 @@ class TestGroup:
         assert code == 0
         assert report["verdicts"]["obstruction"]["index"] == 2
 
+    @pytest.mark.parametrize("cosets, count", [("(1,0)", 3), ("(1,0),(0,1)", 1)])
+    def test_cosets_name_product_elements(self, capsys, cosets, count):
+        code, report, _ = run_cli(
+            capsys, "group", "product(cyclic:3,cyclic:3)", "--cosets", cosets
+        )
+        assert code == 0
+        assert report["verdicts"]["coset_count"] == count
+
     def test_unknown_kind_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "group", "sporadic")
         assert code == 2
@@ -232,3 +269,37 @@ class TestTables:
         assert code == 0
         assert report["verdicts"]["known"] is False
         assert report["verdicts"]["general_bound"] == [4 * 100 - 4 - 13, 4 * 100 - 4]
+
+    @pytest.mark.parametrize("dim", ["0", "1", "-3"])
+    def test_dimension_below_two_exits_2(self, capsys, dim):
+        code, report, err = run_cli(capsys, "tables", "--dim", dim)
+        assert code == 2
+        assert "at least 2" in err and "at least 2" in report["error"]
+
+
+class TestModuleEntryPoint:
+    """The CLI as a separate interpreter, the way scripts and the benchmark call it."""
+
+    def run_module(self, *argv):
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "covpovm.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return proc.returncode, json.loads(proc.stdout), proc.stderr
+
+    def test_construct_then_analyze(self, tmp_path):
+        out = tmp_path / "wh3.json"
+        code, report, err = self.run_module(
+            "construct", "wh", "--dim", "3", "--rng-seed", "7", "-o", str(out)
+        )
+        assert code == 0, err
+        assert report["command"] == "construct"
+        assert report["verdicts"]["outcomes"] == 9
+        assert report["verdicts"]["span_dim"] == 9
+        code, report, err = self.run_module("analyze", "--pic", str(out), "--rng-seed", "3")
+        assert code == 0, err
+        assert report["verdicts"]["ic"] is True
+        assert report["verdicts"]["pic"]["status"] == "PIC_certified"
+        assert err.strip() == f"{out}: span 9/9, ic=True, pic=PIC_certified"

@@ -45,6 +45,12 @@ class TestTables:
         low, high = err.value.bound
         assert (low, high) == (4 * 16 - 4 - 8, 4 * 16 - 4)
 
+    @pytest.mark.parametrize("d", [1, 0, -3])
+    def test_dimension_below_two_rejected(self, d):
+        for lookup in (cx.general_bound, cx.minimal_pic_outcomes):
+            with pytest.raises(DomainError, match="at least 2"):
+                lookup(d)
+
     def test_every_tabulated_value_in_general_bound(self):
         for d, val in cx.MIN_OUTCOMES_BY_DIM.items():
             low, high = cx.general_bound(d)

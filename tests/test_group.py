@@ -198,6 +198,12 @@ class TestValidationAndJson:
         with pytest.raises(DomainError, match=field):
             grp.group_from_json(data)
 
+    @pytest.mark.parametrize("names", ["ea", ["e", "e"], ["e", 1], None])
+    def test_names_must_be_distinct_strings(self, names):
+        data = {"order": 2, "names": names, "mul": [[0, 1], [1, 0]]}
+        with pytest.raises(DomainError, match="'names'"):
+            grp.group_from_json(data)
+
     def test_garbled_table_rejected(self, quaternion):
         data = grp.group_to_json(quaternion)
         data["mul"] = [[0, 1], [1]]

@@ -9,7 +9,7 @@ from covpovm import linalg
 from covpovm import rep as rp
 from covpovm.errors import DomainError, NotAProjectiveRepError, ShapeError
 
-from support import T_OPERATOR, make_wh_rep, pic3_seed, wh_matrices
+from support import T_OPERATOR, haar_unitary, make_wh_rep, pic3_seed, wh_matrices
 
 
 def entrywise_multiplier(u_g, u_h, u_gh):
@@ -17,6 +17,23 @@ def entrywise_multiplier(u_g, u_h, u_gh):
     prod = u_g @ u_h
     idx = np.unravel_index(np.argmax(np.abs(prod)), prod.shape)
     return u_gh[idx] / prod[idx]
+
+
+def first_failing_pair(group, mats):
+    """Oracle: the first (g, h) in row-major order whose product rule fails.
+
+    Both tests that use it break the rule far from the tolerances, so the
+    scalar overlap decides the same pair as the batched one.
+    """
+    d = mats.shape[1]
+    for g, h in itertools.product(range(group.order), repeat=2):
+        prod, target = mats[g] @ mats[h], mats[group.op(g, h)]
+        om = np.vdot(prod, target) / d
+        if abs(abs(om) - 1) > linalg.PHASE_ATOL:
+            return g, h
+        if np.abs(target - om / abs(om) * prod).max() > linalg.ATOL * d:
+            return g, h
+    return None
 
 
 class TestRepFromMatrices:
@@ -86,6 +103,53 @@ class TestRepFromMatrices:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    def test_multiplier_is_the_row_expression_bit_for_bit(self):
+        # phase-twisted, rotated shift/clock matrices c(g) V W(g) V*, c(e) = 1
+        rng = np.random.default_rng(11)
+        g = grp.build_group("product(cyclic:4,cyclic:4)")
+        v = haar_unitary(4, rng)
+        phases = np.exp(2j * np.pi * rng.random(16))
+        phases[g.identity] = 1.0
+        mats = [c * v @ w @ v.conj().T for c, w in zip(phases, wh_matrices(4))]
+        rep = rp.rep_from_matrices(g, mats)
+        stack, d = rep.matrices, rep.dim
+        for a in range(g.order):
+            om = np.sum(np.conj(stack[a] @ stack) * stack[g.mul[a]], axis=(1, 2)) / d
+            om /= np.abs(om)
+            assert np.array_equal(rep.multiplier[a], om)
+
+    @pytest.mark.parametrize("break_kind, message", [
+        ("other", "multiplier at {} is not unimodular"),
+        ("phase", "residual at {} exceeds tolerance"),
+    ])
+    def test_late_break_names_first_failing_pair(self, break_kind, message):
+        g = grp.build_group("product(cyclic:4,cyclic:4)")
+        mats = np.array(wh_matrices(4))
+        last = g.order - 1
+        if break_kind == "other":
+            mats[last] = mats[1]  # orthogonal to the true product: overlap 0
+        else:
+            mats[last] = mats[last] @ np.diag([np.exp(1e-4j), 1, 1, 1])
+        pair = first_failing_pair(g, mats)
+        assert last in (pair[0], pair[1], g.op(*pair))
+        names = f"({g.names[pair[0]]}, {g.names[pair[1]]})"
+        with pytest.raises(NotAProjectiveRepError) as err:
+            rp.rep_from_matrices(g, mats)
+        assert str(err.value) == message.format(names)
+
+    def test_cocycle_defect_is_the_largest_triple_defect(self):
+        # a unimodular table that is no cocycle, against the loop over triples
+        g = grp.build_group("product(cyclic:3,cyclic:3)")
+        omega = np.exp(2j * np.pi * np.random.default_rng(5).random((9, 9)))
+        mul = g.mul
+        defect = max(
+            abs(omega[a, mul[b, c]] * omega[b, c] - omega[a, b] * omega[mul[a, b], c])
+            for a, b, c in itertools.product(range(9), repeat=3)
+        )
+        with pytest.raises(NotAProjectiveRepError) as err:
+            rp._check_cocycle(g, omega)
+        assert str(err.value) == f"cocycle identity fails (defect {defect:.3e})"
 
     def test_json_round_trip(self, quat3_rep):
         back = rp.rep_from_json(rp.rep_to_json(quat3_rep))
