@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
-from . import constructions as cx
-from . import group as grp
 from . import povm as pv
-from . import rep as rp
 from .errors import CovPovmError, UnknownDimensionError
 from .linalg import decode_complex, encode_complex
 
@@ -44,9 +42,24 @@ def _parse_floats(text: str, n: int, what: str) -> list:
     if len(parts) != n:
         raise CovPovmError(f"{what} needs {n} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise CovPovmError(f"{what}: {exc}") from exc
+    for part, value in zip(parts, values):
+        if not math.isfinite(value):
+            raise CovPovmError(f"{what}: {part!r} is not a finite number")
+    return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the single-number options: a float, but not nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:  # argparse's own wording for a bad float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _verdict_dict(verdict: pv.PicVerdict) -> dict:
@@ -100,6 +113,8 @@ class _IoFailure(Exception):
 # --- construct -----------------------------------------------------------------
 
 def _cmd_construct(args) -> int:
+    from . import constructions as cx
+
     inputs: dict = {"kind": args.kind, "out": args.out}
     if args.kind == "wh":
         if args.dim is None:
@@ -212,6 +227,10 @@ def _cmd_analyze(args) -> int:
 # --- group ---------------------------------------------------------------------
 
 def _cmd_group(args) -> int:
+    from . import constructions as cx
+    from . import group as grp
+    from . import rep as rp
+
     group = grp.build_group(args.kind)
     verdicts: dict = {
         "order": group.order,
@@ -275,6 +294,8 @@ def _cmd_group(args) -> int:
 # --- tables ----------------------------------------------------------------------
 
 def _cmd_tables(args) -> int:
+    from . import constructions as cx
+
     if args.dim is not None:
         try:
             rec = cx.minimal_pic_outcomes(args.dim)
@@ -328,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rng-seed", type=int, default=0)
     c.add_argument("--mixed", action="store_true",
                    help="use the maximally mixed seed (wh only; not IC)")
-    c.add_argument("--lambda", dest="lam", type=float, default=None,
+    c.add_argument("--lambda", dest="lam", type=_finite_float, default=None,
                    help="scale of the complement generator (quat3/dihedral3)")
     c.add_argument("--alpha", default=None, help="comma-separated alpha components")
     c.add_argument("--v", default=None, help="v as re1,im1,re2,im2 (quat3/dihedral3)")
-    c.add_argument("--gamma", type=float, default=0.0, help="phase (rank1 only)")
+    c.add_argument("--gamma", type=_finite_float, default=0.0, help="phase (rank1 only)")
     c.add_argument("--bypass-conditions", action="store_true",
                    help="skip the parameter preconditions (quat3/dihedral3)")
     c.set_defaults(func=_cmd_construct)

@@ -170,6 +170,8 @@ def default_wh_seed(d: int, rng_seed: int) -> np.ndarray:
     """
     if d < 2:
         raise DomainError("dimension must be at least 2")
+    if rng_seed < 0:
+        raise DomainError(f"the rng seed must be non-negative, got {rng_seed}")
     displacements = wh_displacements(d)
     rng = np.random.default_rng(rng_seed)
     for _ in range(1000):
@@ -281,8 +283,11 @@ def build_pic3(params: Pic3Params, enforce_conditions: bool = True):
     Returns (Povm, rep, T).  With the conditions enforced the effect span is
     the full orthogonal complement of T, so the observable identifies every
     pure state; ``enforce_conditions=False`` skips the parameter checks to
-    let deliberately broken parameters through for inspection.
+    let deliberately broken parameters through for inspection; a scale
+    ``lam`` that is not a finite number is refused either way.
     """
+    if not math.isfinite(params.lam):
+        raise DomainError(f"lam must be a finite number, got {params.lam!r}")
     if enforce_conditions:
         check_pic3_conditions(params)
     rep = pic3_rep(params.group_choice)

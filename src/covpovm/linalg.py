@@ -14,6 +14,7 @@ Complex arrays cross JSON as nested ``[re, im]`` pairs through one codec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -147,7 +148,12 @@ def numerical_rank(a) -> int:
 
 @dataclass(frozen=True)
 class OperatorSubspace:
-    """Subspace of the d*d operator space, held as a (k, d, d) HS-orthonormal basis."""
+    """Subspace of the d*d operator space, held as a (k, d, d) HS-orthonormal basis.
+
+    ``_flat`` is the same basis as a (k, d*d) view, kept from construction on;
+    its conjugate is built at the first projection and kept, so spans that are
+    never projected on do not hold a second copy of the basis.
+    """
 
     dim_h: int
     basis: np.ndarray = field(default_factory=list)
@@ -159,14 +165,16 @@ class OperatorSubspace:
             basis = basis.reshape(0, d, d)
         if basis.ndim != 3 or basis.shape[1:] != (d, d):
             raise ShapeError(f"basis of shape {basis.shape} in dimension {d}")
-        object.__setattr__(self, "basis", np.ascontiguousarray(basis))
-        flat = self._flat
+        basis = np.ascontiguousarray(basis)
+        flat = basis.reshape(len(basis), d * d)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_flat", flat)
         if np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max(initial=0.0) > PHASE_ATOL:
             raise DomainError("basis is not HS-orthonormal")
 
-    @property
-    def _flat(self) -> np.ndarray:
-        return self.basis.reshape(len(self.basis), self.dim_h ** 2)
+    @cached_property
+    def _flat_conj(self) -> np.ndarray:
+        return self._flat.conj()
 
     @property
     def dim(self) -> int:
@@ -177,7 +185,7 @@ class OperatorSubspace:
         m = np.asarray(m)
         if m.shape != (self.dim_h, self.dim_h):
             raise ShapeError(f"expected a {self.dim_h}x{self.dim_h} matrix, got {m.shape}")
-        return self._flat.conj() @ m.reshape(-1)
+        return self._flat_conj @ m.reshape(-1)
 
     def project(self, m) -> np.ndarray:
         """Orthogonal projection of m onto the subspace."""

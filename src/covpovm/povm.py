@@ -11,18 +11,22 @@ searches for a pair of pure states the observable cannot tell apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import group as grp
-from . import rep as rp
 from .errors import DomainError, InconsistencyError, NotAnObservableError
 from .linalg import (
     ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex, hermitian_eig,
     hs_norm, numerical_rank, orthogonal_complement, psd_defects, require_psd,
     span_orthonormalize,
 )
+
+if TYPE_CHECKING:  # annotations only; rep and group load on first use
+    from . import group as grp
+    from . import rep as rp
 
 PIC_CERTIFIED = "PIC_certified"
 PIC_UNFALSIFIED = "PIC_unfalsified"
@@ -201,6 +205,8 @@ def abelian_obstruction_certificate(rep: rp.ProjectiveRep):
     distinguished axis of the dimension-3 block constructions) is not enough
     to obstruct anything.
     """
+    from . import rep as rp
+
     spaces = rp.joint_eigenspaces(rep.matrices)
     vectors = []
     for s in spaces:
@@ -248,10 +254,11 @@ class PicVerdict:
 
 
 def _pair_objective(span: OperatorSubspace, psi: np.ndarray, phi: np.ndarray):
-    d = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
+    # the broadcast product np.outer performs, without its call overhead
+    d = psi[:, None] * psi.conj() - phi[:, None] * phi.conj()
     g = span.project(d)
     # g is the selfadjoint projection of d, so <g, d> = ||g||^2
-    return float(np.sum(np.conj(g) * d).real), g
+    return float((g.conj() * d).sum().real), g
 
 
 def _orthonormal_pair(rng, dim):
@@ -260,10 +267,19 @@ def _orthonormal_pair(rng, dim):
     return q[:, 0], q[:, 1]
 
 
+def _norm(v):
+    """np.linalg.norm of a contiguous complex vector, by the formula it evaluates.
+
+    The square root is correctly rounded in math as in numpy, so the value is
+    the same double.
+    """
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
 def _retract(psi, phi):
-    psi = psi / np.linalg.norm(psi)
+    psi = psi / _norm(psi)
     phi = phi - (psi.conj() @ phi) * psi
-    n = np.linalg.norm(phi)
+    n = _norm(phi)
     if n < 1e-12:
         return None
     return psi, phi / n
@@ -303,11 +319,16 @@ def falsify(span: OperatorSubspace, settings: FalsifierSettings | None = None) -
     so the search runs over orthonormal pairs; this keeps the degenerate
     psi = phi direction out of the landscape entirely.  Deterministic for a
     fixed seed: restart r draws from rng seeded with (rng_seed, r) and ties
-    between equal minima resolve to the earliest restart.
+    between equal minima resolve to the earliest restart.  A step evaluates
+    exactly the arithmetic of ``np.outer`` and ``np.linalg.norm``, written
+    without their call overhead, so witnesses and restart counts are those of
+    the plain calls bit for bit.
     """
     settings = settings or FalsifierSettings()
     if settings.restarts < 1:
         raise DomainError(f"the falsifier needs at least one restart, got {settings.restarts}")
+    if settings.rng_seed < 0:
+        raise DomainError(f"the falsifier's rng seed must be non-negative, got {settings.rng_seed}")
     best = None
     for r in range(settings.restarts):
         rng = np.random.default_rng([settings.rng_seed, r])

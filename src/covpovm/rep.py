@@ -51,18 +51,34 @@ def _as_stack(matrices) -> np.ndarray:
     return stack
 
 
+# Entries per work array of the batched validators: at 16 bytes a complex
+# entry, 64 KiB, half of glibc's 128 KiB mmap threshold, so the buffers come
+# from the heap and a fresh process does not page-fault them in on every call.
+_BLOCK_ENTRIES = 4096
+
+
+def _block_rows(n: int, per_row: int) -> int:
+    """Rows per block of an n-row validator table whose row holds ``per_row`` entries."""
+    return min(n, max(1, _BLOCK_ENTRIES // per_row))
+
+
 def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     """Validate unitaries against the group table and extract the multiplier.
 
     The scalar omega(g, h) is estimated as <U(g)U(h), U(gh)>_HS / d and the
     residual ||U(gh) - omega U(g)U(h)|| must vanish within ATOL; anything
-    larger means the matrices do not projectively represent the group.  Each
-    table row g is checked as one batched product U(g) @ [U(h) for all h].
-    The rows share four ``(n, d, d)`` work arrays, allocated once and filled
-    in place, so memory stays at a few stack sizes and no row allocates
-    another; the cocycle check likewise reuses its ``(n, n)`` arrays.  The
-    gathers use ``mode="clip"``, which writes straight into its buffer where
-    the default mode would stage a copy; a validated table never clips.
+    larger means the matrices do not projectively represent the group.  A
+    block of table rows g is checked as one batched product
+    [g, h] -> U(g) U(h), and the first failing pair in row-major order is the
+    one reported.  A block holds ``max(1, 4096 // (n d^2))`` rows, so each of
+    its four ``(rows, n, d, d)`` work arrays stays at or below 64 KiB: small
+    groups take many rows per numpy call, while a row of a large rep (shift and
+    clock at d = 15 holds 50,625 entries) is a block of its own.  A larger
+    block would cross the mmap threshold and page-fault its buffers on every
+    call in a fresh process.  The work arrays are allocated once and filled in
+    place; the cocycle check blocks the same way.  The gathers use
+    ``mode="clip"``, which writes straight into its buffer where the default
+    mode would stage a copy; a validated table never clips.
     """
     stack = _as_stack(matrices)
     if not np.all(np.isfinite(stack)):
@@ -77,30 +93,36 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     if np.abs(stack[group.identity] - eye).max() > ATOL:
         raise DomainError("identity element must map to the identity matrix")
     omega = np.empty((n, n), dtype=complex)
-    prods = np.empty_like(stack)                     # [h] -> U(g) U(h)
-    targets = np.empty_like(stack)                   # [h] -> U(gh)
-    work = np.empty_like(stack)
-    moduli = np.empty(stack.shape)
-    for g in range(n):
-        np.matmul(stack[g], stack, out=prods)
-        np.take(stack, group.mul[g], axis=0, out=targets, mode="clip")
+    rows = _block_rows(n, n * d * d)
+    shape = (rows,) + stack.shape
+    prods_buf = np.empty(shape, dtype=complex)       # [g, h] -> U(g) U(h)
+    targets_buf = np.empty(shape, dtype=complex)     # [g, h] -> U(gh)
+    work_buf = np.empty(shape, dtype=complex)
+    moduli_buf = np.empty(shape)
+    for g0 in range(0, n, rows):
+        g1 = min(g0 + rows, n)
+        k = g1 - g0
+        prods, targets = prods_buf[:k], targets_buf[:k]
+        work, moduli = work_buf[:k], moduli_buf[:k]
+        np.matmul(stack[g0:g1, None], stack, out=prods)
+        np.take(stack, group.mul[g0:g1], axis=0, out=targets, mode="clip")
         np.conjugate(prods, out=work)
         work *= targets
-        om = work.sum(axis=(1, 2)) / d
+        om = work.sum(axis=(2, 3)) / d
         modulus = np.abs(om)
         not_unimodular = np.abs(modulus - 1) > PHASE_ATOL
         om /= np.where(not_unimodular, 1.0, modulus)
-        prods *= om[:, None, None]
+        prods *= om[:, :, None, None]
         np.subtract(targets, prods, out=work)
-        residual = np.abs(work, out=moduli).max(axis=(1, 2))
+        residual = np.abs(work, out=moduli).max(axis=(2, 3))
         failed = not_unimodular | (residual > ATOL * max(1.0, d))
         if failed.any():
-            h = int(np.argmax(failed))
-            pair = f"({group.names[g]}, {group.names[h]})"
-            if not_unimodular[h]:
+            r, h = divmod(int(np.argmax(failed)), n)   # row-major: first g, then h
+            pair = f"({group.names[g0 + r]}, {group.names[h]})"
+            if not_unimodular[r, h]:
                 raise NotAProjectiveRepError(f"multiplier at {pair} is not unimodular")
             raise NotAProjectiveRepError(f"residual at {pair} exceeds tolerance")
-        omega[g] = om
+        omega[g0:g1] = om
     e = group.identity
     if np.abs(omega[e, :] - 1).max() > PHASE_ATOL or np.abs(omega[:, e] - 1).max() > PHASE_ATOL:
         raise NotAProjectiveRepError("multiplier is not normalized at the identity")
@@ -112,18 +134,28 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
 
 
 def _check_cocycle(group: grp.FiniteGroup, omega: np.ndarray):
-    # omega(g, hk) omega(h, k) = omega(g, h) omega(gh, k), all triples, one
-    # g at a time: [h, k] -> omega(g, hk), omega(h, k), omega(g, h), omega(gh, k)
+    """Raise unless omega(g, hk) omega(h, k) = omega(g, h) omega(gh, k) for all triples.
+
+    A block of ``max(1, 4096 // n^2)`` values of g at a time, with the same
+    64 KiB bound on its ``(rows, n, n)`` work arrays as
+    :func:`rep_from_matrices`: [g, h, k] -> omega(g, hk) omega(h, k) and
+    omega(g, h) omega(gh, k).
+    """
+    n = group.order
     mul = group.mul
-    left = np.empty_like(omega)
-    right = np.empty_like(omega)
-    moduli = np.empty(omega.shape)
+    rows = _block_rows(n, n * n)
+    left_buf = np.empty((rows, n, n), dtype=complex)
+    right_buf = np.empty_like(left_buf)
+    moduli_buf = np.empty(left_buf.shape)
     defect = 0.0
-    for g in range(group.order):
-        np.take(omega[g], mul, out=left, mode="clip")
+    for g0 in range(0, n, rows):
+        g1 = min(g0 + rows, n)
+        k = g1 - g0
+        left, right, moduli = left_buf[:k], right_buf[:k], moduli_buf[:k]
+        np.take(omega[g0:g1], mul, axis=1, out=left, mode="clip")
         left *= omega
-        np.take(omega, mul[g], axis=0, out=right, mode="clip")
-        right *= omega[g][:, None]
+        np.take(omega, mul[g0:g1], axis=0, out=right, mode="clip")
+        right *= omega[g0:g1, :, None]
         left -= right
         defect = max(defect, np.abs(left, out=moduli).max())
     if defect > PHASE_ATOL:

@@ -123,3 +123,40 @@ def planted_witness_povm(dim, rng):
     span = linalg.orthogonal_complement(line)
     povm = povm_with_span(dim, selfadjoint_basis(span))
     return povm, psi, phi
+
+
+def reference_pair_objective(span, psi, phi):
+    """The falsifier's objective on np.outer and a projection from the basis.
+
+    The reference the falsifier's step is held to bit for bit.
+    """
+    d = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
+    flat = span.basis.reshape(len(span.basis), -1)
+    g = ((flat.conj() @ d.reshape(-1)) @ flat).reshape(d.shape)
+    return float(np.sum(np.conj(g) * d).real), g
+
+
+def reference_retract(psi, phi):
+    """The falsifier's retraction onto orthonormal pairs, on np.linalg.norm."""
+    psi = psi / np.linalg.norm(psi)
+    phi = phi - (psi.conj() @ phi) * psi
+    n = np.linalg.norm(phi)
+    if n < 1e-12:
+        return None
+    return psi, phi / n
+
+
+def codim2_povm():
+    """d = 4 observable whose two-dimensional complement holds no rank <= 2 element.
+
+    The complement is spanned by diag(1,1,-1,-1)/2 and the anti-identity:
+    every real combination has eigenvalues +-sqrt(x^2+y^2) twice, rank 4.
+    """
+    from covpovm import linalg
+
+    t1 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex) / 2
+    t2 = np.zeros((4, 4), dtype=complex)
+    t2[0, 3] = t2[3, 0] = t2[1, 2] = t2[2, 1] = 0.5
+    line = linalg.span_orthonormalize([t1, t2])
+    span = linalg.orthogonal_complement(line)
+    return povm_with_span(4, selfadjoint_basis(span))

@@ -92,6 +92,41 @@ class TestConstruct:
             assert json.loads(line.rstrip(","))["label"] == label
         assert json.loads(text) == pv.povm_to_json(povm)
 
+    def test_negative_rng_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "wh.json"
+        code, report, err = run_cli(
+            capsys, "construct", "wh", "--dim", "3", "--rng-seed", "-1", "-o", str(out)
+        )
+        assert code == 2
+        assert "non-negative" in err and "non-negative" in report["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["quat3", "--alpha", "nan,0.03,0.01"], "--alpha"),
+        (["dihedral3", "--v", "0.03,0,inf,0"], "--v"),
+    ])
+    def test_non_finite_list_entry_exits_2(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "x.json"
+        code, report, err = run_cli(capsys, "construct", *argv, "-o", str(out))
+        assert code == 2
+        assert option in err and "finite" in report["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["quat3", "--lambda", "nan"], "--lambda"),
+        (["quat3", "--lambda", "inf"], "--lambda"),
+        (["rank1", "--gamma", "nan"], "--gamma"),
+        (["rank1", "--gamma=-inf"], "--gamma"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, argv, option):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["construct", *argv, "-o", str(out)])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert f"argument {option}" in err and "not a finite number" in err
+        assert not out.exists()
+
     def test_unwritable_path_exits_3(self, capsys):
         code, report, err = run_cli(
             capsys, "construct", "quat3", "-o", "/nonexistent-dir/x.json"
@@ -172,6 +207,13 @@ class TestAnalyze:
         )
         assert code == 2
         assert "restart" in err and "restart" in report["error"]
+
+    def test_negative_rng_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "mixed.json"
+        run_cli(capsys, "construct", "wh", "--dim", "3", "--mixed", "-o", str(out))
+        code, report, err = run_cli(capsys, "analyze", str(out), "--pic", "--rng-seed", "-1")
+        assert code == 2
+        assert "non-negative" in err and "non-negative" in report["error"]
 
     def test_out_of_range_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

@@ -121,6 +121,11 @@ class TestDefaultWhSeed:
     def test_deterministic(self):
         assert np.array_equal(cx.default_wh_seed(3, 11), cx.default_wh_seed(3, 11))
 
+    @pytest.mark.parametrize("rng_seed", [-1, -12])
+    def test_negative_rng_seed_rejected(self, rng_seed):
+        with pytest.raises(DomainError, match="non-negative"):
+            cx.default_wh_seed(3, rng_seed)
+
 
 class TestPic3:
     def test_quaternion_default_is_certified_minimal(self):
@@ -180,6 +185,12 @@ class TestPic3:
         assert err.value.condition == "dihedral-overlap"
         povm, _, _ = cx.build_pic3(params, enforce_conditions=False)
         assert pv.operator_span(povm).dim == 6
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_non_finite_lam_rejected(self, lam, enforce):
+        with pytest.raises(DomainError, match="lam must be a finite number"):
+            cx.build_pic3(cx.Pic3Params(lam=lam), enforce_conditions=enforce)
 
     def test_bypassed_alpha_zero_drops_span(self):
         params = cx.Pic3Params(alpha=(1 / 32, 0.0, 1 / 32))

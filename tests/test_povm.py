@@ -8,10 +8,13 @@ from covpovm import rep as rp
 from covpovm.errors import DomainError, NotAnObservableError
 
 from support import (
+    codim2_povm,
     make_wh_rep,
     pic3_seed,
     planted_witness_povm,
     povm_with_span,
+    reference_pair_objective,
+    reference_retract,
     selfadjoint_basis,
 )
 
@@ -266,6 +269,46 @@ class TestFalsifier:
         span = pv.operator_span(single_identity_povm(3))
         with pytest.raises(DomainError, match="restart"):
             pv.falsify(span, pv.FalsifierSettings(restarts=restarts))
+
+
+class TestFalsifierStep:
+    """The falsifier's step against the np.outer / np.linalg.norm reference kernels."""
+
+    @staticmethod
+    def both_ways(monkeypatch, span, settings):
+        fast = pv.falsify(span, settings)
+        with monkeypatch.context() as m:
+            m.setattr(pv, "_pair_objective", reference_pair_objective)
+            m.setattr(pv, "_retract", reference_retract)
+            ref = pv.falsify(span, settings)
+        return fast, ref
+
+    @staticmethod
+    def assert_same(fast, ref):
+        assert fast.residual == ref.residual
+        assert fast.restart == ref.restart
+        assert np.array_equal(fast.psi, ref.psi)
+        assert np.array_equal(fast.phi, ref.phi)
+
+    def test_criterion_10_panel_is_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        for case in range(50):
+            povm, _, _ = planted_witness_povm(3, rng)
+            span = pv.operator_span(povm)
+            fast, ref = self.both_ways(monkeypatch, span, pv.FalsifierSettings(rng_seed=case))
+            self.assert_same(fast, ref)
+
+    def test_codim2_search_is_bit_identical(self, monkeypatch):
+        span = pv.operator_span(codim2_povm())
+        fast, ref = self.both_ways(monkeypatch, span, pv.FalsifierSettings(restarts=16))
+        self.assert_same(fast, ref)
+        assert fast.residual > 1e-3
+
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_rejected(self, seed):
+        span = pv.operator_span(single_identity_povm(3))
+        with pytest.raises(DomainError, match="non-negative"):
+            pv.falsify(span, pv.FalsifierSettings(rng_seed=seed))
 
 
 class TestCheckPic:

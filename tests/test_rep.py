@@ -151,6 +151,82 @@ class TestRepFromMatrices:
             rp._check_cocycle(g, omega)
         assert str(err.value) == f"cocycle identity fails (defect {defect:.3e})"
 
+    @staticmethod
+    def moduli_broken(group, mats, a, c, delta):
+        """U(a), U(c) scaled by 1 + delta and U(ac) by 1 - delta.
+
+        Each stays unitary within ATOL d, and so does every pair that meets
+        one or two scaled matrices; the pairs meeting all three, (a, c) first,
+        miss the product rule by 3 delta.
+        """
+        mats = np.array(mats, dtype=complex)
+        mats[[a, c]] *= 1 + delta
+        mats[group.op(a, c)] *= 1 - delta
+        return mats
+
+    @pytest.mark.parametrize("case", ["d1-modulus", "d2-modulus", "d2-other"])
+    def test_break_inside_a_block_names_first_failing_pair(self, case):
+        if case == "d1-modulus":
+            # 100 one-dimensional rows, 40 to a block
+            g = grp.cyclic_group(100)
+            chars = np.exp(2j * np.pi * np.arange(100) / 100).reshape(-1, 1, 1)
+            mats = self.moduli_broken(g, chars, 47, 50, 4.9e-10)
+        else:
+            # pi(q) chi(b) on quaternion x Z8: 64 rows of 2x2 matrices, 16 to a block
+            g = grp.build_group("product(quaternion,cyclic:8)")
+            chi = np.exp(2j * np.pi * np.arange(8) / 8)
+            mats = np.array([q * c for q in grp.QUATERNION_MATRICES for c in chi])
+            if case == "d2-modulus":
+                mats = self.moduli_broken(g, mats, 21, 26, 0.95e-9)
+            else:
+                mats[37] = mats[37] @ np.array([[0, 1], [-1, 0]])
+        n, d = g.order, mats.shape[1]
+        rows = rp._block_rows(n, n * d * d)
+        pair = first_failing_pair(g, mats)
+        assert 1 < rows < n and pair[0] % rows != 0
+        names = f"({g.names[pair[0]]}, {g.names[pair[1]]})"
+        if case == "d2-other":
+            message = f"multiplier at {names} is not unimodular"
+        else:
+            message = f"residual at {names} exceeds tolerance"
+        with pytest.raises(NotAProjectiveRepError) as err:
+            rp.rep_from_matrices(g, mats)
+        assert str(err.value) == message
+
+    def test_multiplier_across_blocks_is_the_row_expression(self):
+        # d = 5 shift/clock: 25 rows of 625 entries, 6 to a block, the last alone
+        rng = np.random.default_rng(12)
+        g = grp.build_group("product(cyclic:5,cyclic:5)")
+        assert rp._block_rows(25, 25 * 25) == 6
+        v = haar_unitary(5, rng)
+        phases = np.exp(2j * np.pi * rng.random(25))
+        phases[g.identity] = 1.0
+        mats = [c * v @ w @ v.conj().T for c, w in zip(phases, wh_matrices(5))]
+        rep = rp.rep_from_matrices(g, mats)
+        stack, d = rep.matrices, rep.dim
+        for a in range(g.order):
+            om = np.sum(np.conj(stack[a] @ stack) * stack[g.mul[a]], axis=(1, 2)) / d
+            om /= np.abs(om)
+            assert np.array_equal(rep.multiplier[a], om)
+
+    def test_cocycle_defect_across_blocks(self):
+        # 35 elements: 1225 entries a row, 3 rows to a block, the last block of 2;
+        # a table near 1 whose largest triple defect sits in that last block
+        g = grp.build_group("product(cyclic:5,cyclic:7)")
+        n, mul = g.order, g.mul
+        rows = rp._block_rows(n, n * n)
+        assert rows == 3
+        omega = np.exp(1e-3j * np.random.default_rng(33).random((n, n)))
+        defects = {
+            (a, b, c): abs(omega[a, mul[b, c]] * omega[b, c] - omega[a, b] * omega[mul[a, b], c])
+            for a, b, c in itertools.product(range(n), repeat=3)
+        }
+        worst = max(defects, key=defects.get)
+        assert worst[0] >= n - n % rows
+        with pytest.raises(NotAProjectiveRepError) as err:
+            rp._check_cocycle(g, omega)
+        assert str(err.value) == f"cocycle identity fails (defect {defects[worst]:.3e})"
+
     def test_json_round_trip(self, quat3_rep):
         back = rp.rep_from_json(rp.rep_to_json(quat3_rep))
         assert back.dim == 3
