@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import povm as pv
-from .errors import CovPovmError, UnknownDimensionError
+from .errors import CovPovmError, DomainError, UnknownDimensionError
 from .linalg import decode_complex, encode_complex
 
 
@@ -73,6 +73,8 @@ def _verdict_dict(verdict: pv.PicVerdict) -> dict:
         out["witness"] = {"psi": encode_complex(psi), "phi": encode_complex(phi)}
     else:
         out["witness"] = None
+    if verdict.certificate is not None:
+        out["certificate"] = verdict.certificate
     return out
 
 
@@ -88,19 +90,16 @@ def _validation_dict(report: pv.PovmValidation) -> dict:
 def _write_povm(povm: pv.Povm, path: str) -> None:
     """Write the POVM document with one outcome per line.
 
-    Each outcome is one ``json.dumps`` call, which runs on the C encoder
-    (``indent`` would select the pure-Python one), and only one line is held
-    as text at a time.
+    Each outcome is encoded and dumped on its own, on the C encoder
+    (``indent`` would select the pure-Python one), so only one outcome's
+    lists and line are held at a time; the bytes parse to ``povm_to_json``.
     """
-    doc = pv.povm_to_json(povm)
-    outcomes = doc.pop("outcomes")
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            # the frame: every key but the outcomes, then the open list
-            fh.write(json.dumps(doc)[:-1] + ', "outcomes": [\n')
-            for pos, entry in enumerate(outcomes):
-                fh.write(json.dumps(entry))
-                fh.write(",\n" if pos < len(outcomes) - 1 else "\n")
+            fh.write(f'{{"dim": {povm.dim}, "outcomes": [\n')
+            for pos, (label, op) in enumerate(zip(povm.labels, povm.ops)):
+                fh.write(json.dumps(pv.outcome_to_json(label, op)))
+                fh.write(",\n" if pos < len(povm) - 1 else "\n")
             fh.write("]}\n")
     except OSError as exc:
         raise _IoFailure(f"cannot write {path}: {exc}") from exc
@@ -115,6 +114,8 @@ class _IoFailure(Exception):
 def _cmd_construct(args) -> int:
     from . import constructions as cx
 
+    if args.rng_seed < 0:
+        raise DomainError(f"the rng seed must be non-negative, got {args.rng_seed}")
     inputs: dict = {"kind": args.kind, "out": args.out}
     if args.kind == "wh":
         if args.dim is None:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, InconsistencyError, ShapeError
 
 # The tolerance policy of the package; no other module carries a threshold.
 #
@@ -190,6 +190,45 @@ class OperatorSubspace:
     def project(self, m) -> np.ndarray:
         """Orthogonal projection of m onto the subspace."""
         return (self.coefficients(m) @ self._flat).reshape(self.dim_h, self.dim_h)
+
+
+def selfadjoint_basis(space: OperatorSubspace) -> tuple[np.ndarray, float]:
+    """HS-orthonormal selfadjoint basis of a subspace closed under the adjoint.
+
+    The Hermitian and anti-Hermitian parts of the basis elements span the
+    subspace's selfadjoint operators over the reals.  As real vectors (a
+    complex array viewed as its float pairs, whose dot product is the real HS
+    inner product) their SVD gives the basis, counted by the rank rule; a
+    subspace closed under the adjoint has exactly ``space.dim`` of them.
+    Returns the ``(k, d, d)`` basis and the spectral norm of G - I for its
+    Gram matrix G, so that ||sum_k x_k C_k||_HS <= sqrt(1 + defect) |x|.
+    """
+    d, k = space.dim_h, space.dim
+    b, adj = space.basis, space.basis.conj().transpose(0, 2, 1)
+    parts = np.concatenate([b + adj, 1j * (b - adj)])
+    _, s, vh = np.linalg.svd(parts.view(float).reshape(2 * k, 2 * d * d), full_matrices=False)
+    r = _rank(s)
+    if r != k:
+        raise InconsistencyError(
+            f"{r} selfadjoint directions in a subspace of dimension {k}: "
+            "not closed under the adjoint"
+        )
+    basis = np.ascontiguousarray(vh[:r])
+    defect = float(np.linalg.norm(basis @ basis.T - np.eye(r), 2)) if r else 0.0
+    return basis.view(complex).reshape(r, d, d), defect
+
+
+def sigma3(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Third-largest |eigenvalue| of H(x) = sum_k x_k C_k for each row of x.
+
+    ``basis`` is a ``(k, d, d)`` stack of Hermitian matrices with d >= 3 and
+    ``x`` an ``(n, k)`` array of real coordinates; one batched eigensolve.
+    An operator in the span of the basis has rank at most two exactly when
+    this value is 0.
+    """
+    k, d, _ = basis.shape
+    h = (x @ basis.reshape(k, d * d)).reshape(len(x), d, d)
+    return np.sort(np.abs(np.linalg.eigvalsh(h)), axis=1)[:, -3]
 
 
 def span_orthonormalize(mats) -> OperatorSubspace:

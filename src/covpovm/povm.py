@@ -4,9 +4,12 @@ An observable is a labelled family of positive operators summing to the
 identity.  The operator span S of its effects decides what the observable can
 resolve: full span means every state is identified, and pure states are all
 identified exactly when the orthogonal complement of S contains no nonzero
-selfadjoint operator of rank one or two.  Certification is exact when that
-complement has dimension at most one; beyond that a randomized falsifier
-searches for a pair of pure states the observable cannot tell apart.
+selfadjoint operator of rank one or two.  A complement of dimension at most
+one is decided exactly by the rank of its generator.  A larger one is
+certified by a Lipschitz cover of its unit sphere when the third-largest
+|eigenvalue| stays away from zero and the cover fits its point budget;
+otherwise a randomized falsifier searches for a pair of pure states the
+observable cannot tell apart.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 
 from .errors import DomainError, InconsistencyError, NotAnObservableError
 from .linalg import (
-    ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex, hermitian_eig,
-    hs_norm, numerical_rank, orthogonal_complement, psd_defects, require_psd,
-    span_orthonormalize,
+    ATOL, ZERO_ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex,
+    hermitian_eig, hs_norm, numerical_rank, orthogonal_complement, psd_defects,
+    require_psd, selfadjoint_basis, sigma3, span_orthonormalize,
 )
 
 if TYPE_CHECKING:  # annotations only; rep and group load on first use
@@ -31,6 +34,9 @@ if TYPE_CHECKING:  # annotations only; rep and group load on first use
 PIC_CERTIFIED = "PIC_certified"
 PIC_UNFALSIFIED = "PIC_unfalsified"
 NOT_PIC = "not_PIC"
+
+# Centres the complement cover may evaluate before the falsifier decides.
+COVER_BUDGET = 256
 
 
 class Povm:
@@ -224,9 +230,12 @@ def abelian_obstruction_certificate(rep: rp.ProjectiveRep):
 
 # --- PIC analysis --------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FalsifierSettings:
-    """Budget and determinism knobs for the pure-state pair search."""
+    """Budget and determinism knobs for the pure-state pair search.
+
+    Checked once, at construction: at least one restart and a non-negative seed.
+    """
 
     restarts: int = 64
     max_iterations: int = 2000
@@ -235,6 +244,12 @@ class FalsifierSettings:
     witness_threshold: float = 1e-12
     # hard floor: stop restarting once a pair this deep is found
     floor: float = 1e-26
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise DomainError(f"the falsifier needs at least one restart, got {self.restarts}")
+        if self.rng_seed < 0:
+            raise DomainError(f"the falsifier's rng seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass
@@ -251,6 +266,8 @@ class PicVerdict:
     complement_dim: int
     witness: tuple | None = None
     residual: float | None = None
+    # {method, points, min_sigma3, eig_error_bound} of a certifying cover
+    certificate: dict | None = None
 
 
 def _pair_objective(span: OperatorSubspace, psi: np.ndarray, phi: np.ndarray):
@@ -325,10 +342,6 @@ def falsify(span: OperatorSubspace, settings: FalsifierSettings | None = None) -
     the plain calls bit for bit.
     """
     settings = settings or FalsifierSettings()
-    if settings.restarts < 1:
-        raise DomainError(f"the falsifier needs at least one restart, got {settings.restarts}")
-    if settings.rng_seed < 0:
-        raise DomainError(f"the falsifier's rng seed must be non-negative, got {settings.rng_seed}")
     best = None
     for r in range(settings.restarts):
         rng = np.random.default_rng([settings.rng_seed, r])
@@ -340,6 +353,71 @@ def falsify(span: OperatorSubspace, settings: FalsifierSettings | None = None) -
             break
     f, psi, phi, r = best
     return FalsifierResult(float(np.sqrt(max(f, 0.0))), psi, phi, r)
+
+
+def _largest_coverable_dim(budget: int) -> int:
+    """Largest complement dimension c whose sphere a cover of ``budget`` points could cover.
+
+    sigma_3 of a unit-norm H is at most 1/sqrt(3), the top three squared
+    |eigenvalues| summing to at most ||H||_HS^2 = 1, so a certified cell lies in a
+    cap of chordal radius below 1/sqrt(3).  The c start faces cover half of
+    S^{c-1}, so a cover needs N >= 1 / (2 cap) certified leaves, and c
+    bisection trees with N leaves have 2N - c nodes, one evaluated centre each.
+    The cap's share of the sphere is int_0^t sin^(c-2) / int_0^pi sin^(c-2),
+    integrated by the recursion n J_n = (n-1) J_(n-2) - sin^(n-1) cos.
+    """
+    theta = 2 * math.asin(1 / (2 * math.sqrt(3)))
+    cap, sphere = [theta, 1 - math.cos(theta)], [math.pi, 2.0]  # J_0 and J_1 over [0, t]
+    n = 0  # the sphere S^{n+1}, complement dimension n + 2
+    while 2 * math.ceil(sphere[n] / (2 * cap[n])) - (n + 2) <= budget:
+        n += 1
+        if n >= 2:
+            cap.append(((n - 1) * cap[n - 2] - math.sin(theta) ** (n - 1) * math.cos(theta)) / n)
+            sphere.append((n - 1) * sphere[n - 2] / n)
+    return n + 1
+
+
+def _cover(basis: np.ndarray, gram_defect: float) -> dict | None:
+    """Certify sigma_3(H(x)) > 0 on the unit sphere by branch and bound.
+
+    H(x) = sum_k x_k C_k is sqrt(1 + gram_defect)-Lipschitz in operator norm,
+    and by Weyl's inequality so is sigma_3.  H(-x) = -H(x), so the cube faces
+    x_k = +1 (k = 1..c), projected onto the sphere, are enough.  A cell with
+    centre u and half-widths h is certified when sigma_3(u/|u|) - ZERO_ATOL
+    exceeds the Lipschitz constant times its chordal radius, bounded by
+    |h| / sqrt(m |u|) with m the smallest norm in the cell (from
+    |a/|a| - b/|b||^2 <= |a - b|^2 / (|a| |b|)).  Open cells are bisected
+    along their longest side, one batched eigensolve per level.  Returns the
+    certificate, or None once a centre has sigma_3 <= ZERO_ATOL or the next
+    level would exceed COVER_BUDGET points.
+    """
+    c = len(basis)
+    lipschitz = math.sqrt(1 + gram_defect)
+    centre, half = np.eye(c), 1.0 - np.eye(c)
+    points, low = 0, math.inf
+    while len(centre):
+        if points + len(centre) > COVER_BUDGET:
+            return None
+        norm = np.sqrt(np.einsum("ij,ij->i", centre, centre))
+        s3 = sigma3(basis, centre / norm[:, None])
+        points += len(centre)
+        low = min(low, float(s3.min()))
+        if low <= ZERO_ATOL:
+            return None
+        nearest = np.maximum(np.abs(centre) - half, 0.0)
+        radius = lipschitz * np.sqrt(
+            np.einsum("ij,ij->i", half, half)
+            / (np.sqrt(np.einsum("ij,ij->i", nearest, nearest)) * norm)
+        )
+        keep = s3 - ZERO_ATOL <= radius
+        centre, half = centre[keep], half[keep]
+        rows, side = np.arange(len(half)), np.argmax(half, axis=1)
+        half[rows, side] /= 2
+        step = np.zeros_like(half)
+        step[rows, side] = half[rows, side]
+        centre, half = np.concatenate([centre - step, centre + step]), np.concatenate([half, half])
+    return {"method": "lipschitz-cover", "points": points, "min_sigma3": low,
+            "eig_error_bound": ZERO_ATOL}
 
 
 def _selfadjoint_generator(comp: OperatorSubspace) -> np.ndarray:
@@ -359,8 +437,12 @@ def check_pic(povm: Povm, settings: FalsifierSettings | None = None) -> PicVerdi
     Empty complement certifies immediately.  A one-dimensional complement is
     generated by a single selfadjoint traceless operator; rank three or more
     certifies, rank two yields an explicit witness pair from its spectral
-    decomposition.  For larger complements the falsifier searches for a
-    witness; failure to find one is reported as unfalsified, not as a proof.
+    decomposition.  A larger complement (in dimension d >= 3) is certified
+    when a Lipschitz cover of its unit sphere within COVER_BUDGET points keeps
+    the third-largest |eigenvalue| above zero; the verdict then carries the
+    cover's certificate.  Otherwise, or when no such cover can fit the budget,
+    the falsifier searches for a witness; failure to find one is reported as
+    unfalsified, not as a proof.
     """
     return _pic_verdict(operator_span(povm), settings)
 
@@ -380,6 +462,10 @@ def _pic_verdict(span: OperatorSubspace, settings: FalsifierSettings | None) -> 
         d = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
         residual = hs_norm(span.project(d))
         return PicVerdict(NOT_PIC, 1, witness=(psi, phi), residual=residual)
+    if span.dim_h >= 3 and comp_dim <= _largest_coverable_dim(COVER_BUDGET):
+        certificate = _cover(*selfadjoint_basis(orthogonal_complement(span)))
+        if certificate is not None:
+            return PicVerdict(PIC_CERTIFIED, comp_dim, certificate=certificate)
     result = falsify(span, settings)
     if result.residual ** 2 < (settings or FalsifierSettings()).witness_threshold:
         return PicVerdict(
@@ -390,13 +476,15 @@ def _pic_verdict(span: OperatorSubspace, settings: FalsifierSettings | None) -> 
 
 # --- JSON interchange -----------------------------------------------------------
 
+def outcome_to_json(label: str, op: np.ndarray) -> dict:
+    """One entry of the document's ``outcomes`` list."""
+    return {"label": label, "matrix": encode_complex(op)}
+
+
 def povm_to_json(povm: Povm) -> dict:
     return {
         "dim": povm.dim,
-        "outcomes": [
-            {"label": label, "matrix": matrix}
-            for label, matrix in zip(povm.labels, encode_complex(povm.ops))
-        ],
+        "outcomes": [outcome_to_json(label, op) for label, op in zip(povm.labels, povm.ops)],
     }
 
 

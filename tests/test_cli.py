@@ -11,6 +11,8 @@ from covpovm import cli
 from covpovm import constructions as cx
 from covpovm import povm as pv
 
+from support import codim2_povm
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -91,6 +93,26 @@ class TestConstruct:
         for label, line in zip(povm.labels, lines[1:-1]):
             assert json.loads(line.rstrip(","))["label"] == label
         assert json.loads(text) == pv.povm_to_json(povm)
+
+    def test_written_file_bytes(self, tmp_path, capsys):
+        out = tmp_path / "wh.json"
+        run_cli(capsys, "construct", "wh", "--dim", "4", "--rng-seed", "3", "-o", str(out))
+        doc = pv.povm_to_json(cx.build_weyl_heisenberg(
+            cx.WhParams(4, cx.default_wh_seed(4, 3), require_ic=True))[0])
+        assert out.read_text() == (
+            '{"dim": 4, "outcomes": [\n'
+            + ",\n".join(json.dumps(entry) for entry in doc["outcomes"])
+            + "\n]}\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["wh", "--dim", "3", "--mixed"], ["quat3"]],
+                             ids=["wh-mixed", "quat3"])
+    def test_negative_rng_seed_exits_2_where_no_seed_is_drawn(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        code, report, err = run_cli(capsys, "construct", *argv, "--rng-seed", "-5", "-o", str(out))
+        assert code == 2
+        assert "non-negative" in err and "non-negative" in report["error"]
+        assert not out.exists()
 
     def test_negative_rng_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "wh.json"
@@ -214,6 +236,39 @@ class TestAnalyze:
         code, report, err = run_cli(capsys, "analyze", str(out), "--pic", "--rng-seed", "-1")
         assert code == 2
         assert "non-negative" in err and "non-negative" in report["error"]
+
+    @pytest.mark.parametrize("argv, option, message", [
+        (["quat3"], ["--rng-seed", "-1"], "non-negative"),
+        (["quat3"], ["--falsifier-restarts", "0"], "restart"),
+        (["wh", "--dim", "3", "--rng-seed", "7"], ["--falsifier-restarts", "-3"], "restart"),
+    ], ids=["quat3-seed", "quat3-restarts", "wh3-restarts"])
+    def test_falsifier_settings_checked_without_a_search(self, tmp_path, capsys, argv, option,
+                                                         message):
+        # complements of dimension 1 and 0: the falsifier never runs
+        out = tmp_path / "x.json"
+        run_cli(capsys, "construct", *argv, "-o", str(out))
+        code, report, err = run_cli(capsys, "analyze", str(out), "--pic", *option)
+        assert code == 2
+        assert message in err and message in report["error"]
+
+    def test_codim2_certificate(self, tmp_path, capsys):
+        path = tmp_path / "codim2.json"
+        path.write_text(json.dumps(pv.povm_to_json(codim2_povm())))
+        code, report, _ = run_cli(capsys, "analyze", str(path), "--pic")
+        assert code == 0
+        pic = report["verdicts"]["pic"]
+        assert pic["status"] == "PIC_certified" and pic["complement_dim"] == 2
+        assert pic["witness"] is None and pic["residual"] is None
+        assert pic["certificate"]["method"] == "lipschitz-cover"
+        assert pic["certificate"]["points"] == 6
+        assert pic["certificate"]["min_sigma3"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_certificate_only_when_the_verdict_has_one(self, tmp_path, capsys):
+        out = tmp_path / "quat3.json"
+        run_cli(capsys, "construct", "quat3", "-o", str(out))
+        _, report, _ = run_cli(capsys, "analyze", str(out), "--pic")
+        assert list(report["verdicts"]["pic"]) == ["status", "complement_dim", "residual",
+                                                   "witness"]
 
     def test_out_of_range_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

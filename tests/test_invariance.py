@@ -4,7 +4,8 @@ Conjugating every effect by one unitary maps the span onto a unitarily
 equivalent subspace, and permuting the outcomes leaves the span itself alone;
 neither may move the span dimension or the PIC verdict.  The observables are
 the ones decided exactly (complement of dimension 0 or 1), so no falsifier
-search runs.
+search runs, and the d = 4 codim-2 observable, certified by the cover of its
+complement's sphere.
 
 Covariance itself is checked here over every group element, independently of
 ``build_covariant``, on observables whose coset space has a nontrivial subgroup.
@@ -13,6 +14,7 @@ Covariance itself is checked here over every group element, independently of
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ from covpovm import group as grp
 from covpovm import povm as pv
 from covpovm.linalg import ATOL
 
-from support import haar_unitary, planted_witness_povm
+from support import codim2_povm, haar_unitary, planted_witness_povm
 
 NAMES = ["wh2", "wh3", "wh4", "wh5", "quat3", "dihedral3", "planted3", "planted4"]
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -40,6 +42,11 @@ def observable(name):
     else:
         povm, _, _ = planted_witness_povm(int(name[-1]), np.random.default_rng(5))
     return povm, pv.operator_span(povm).dim, pv.check_pic(povm)
+
+
+@functools.cache
+def codim2():
+    return codim2_povm()
 
 
 def assert_same_analysis(name, moved):
@@ -72,6 +79,19 @@ def test_outcome_permutation_keeps_span_and_verdict(name, data):
     order = data.draw(st.permutations(range(len(povm))))
     moved = pv.Povm(povm.dim, [povm.outcomes[i] for i in order])
     assert_same_analysis(name, moved)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_codim2_certificate_survives_conjugation_and_permutation(seed, data):
+    povm = codim2()
+    u = haar_unitary(4, np.random.default_rng(seed))
+    order = data.draw(st.permutations(range(len(povm))))
+    moved = pv.Povm(4, [(povm.labels[i], u @ povm.ops[i] @ u.conj().T) for i in order])
+    verdict = pv.check_pic(moved)
+    assert (verdict.status, verdict.complement_dim) == (pv.PIC_CERTIFIED, 2)
+    # every unit element of the complement has sigma_3 = 1/2
+    assert verdict.certificate["min_sigma3"] == pytest.approx(0.5, abs=1e-9)
 
 
 @SETTINGS

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covpovm import linalg
-from covpovm.errors import DomainError, ShapeError
+from covpovm.errors import DomainError, InconsistencyError, ShapeError
 
 from support import haar_unitary
 
@@ -249,3 +249,47 @@ class TestOrthogonalComplement:
         for _ in range(10):
             m = random_hermitian(3, rng)
             assert linalg.hs_norm(comp.project(s.project(m))) < 1e-9
+
+
+class TestSelfadjointBasis:
+    def test_orthonormal_hermitian_and_spanning(self):
+        rng = np.random.default_rng(31)
+        for d, k in ((3, 2), (4, 5)):
+            space = linalg.span_orthonormalize([random_hermitian(d, rng) for _ in range(k)])
+            basis, defect = linalg.selfadjoint_basis(space)
+            assert basis.shape == (k, d, d)
+            assert np.abs(basis - basis.conj().transpose(0, 2, 1)).max() < 1e-12
+            flat = basis.reshape(k, -1)
+            assert np.abs(flat.conj() @ flat.T - np.eye(k)).max() <= defect + 1e-15
+            assert defect < 1e-12
+            for b in basis:
+                assert linalg.hs_norm(b - space.project(b)) < 1e-12
+
+    def test_complex_basis_of_a_closed_space(self):
+        # E_01 and E_10 span the same space as the two off-diagonal Paulis
+        e01 = np.zeros((2, 2), dtype=complex)
+        e01[0, 1] = 1.0
+        basis, _ = linalg.selfadjoint_basis(linalg.span_orthonormalize([e01, e01.T]))
+        assert len(basis) == 2
+        for b in basis:
+            assert abs(np.trace(b @ S3)) < 1e-12 and abs(np.trace(b)) < 1e-12
+
+    def test_space_not_closed_under_the_adjoint_rejected(self):
+        e01 = np.zeros((2, 2), dtype=complex)
+        e01[0, 1] = 1.0
+        with pytest.raises(InconsistencyError, match="adjoint"):
+            linalg.selfadjoint_basis(linalg.span_orthonormalize([e01]))
+
+
+class TestSigma3:
+    def test_matches_third_singular_value(self):
+        rng = np.random.default_rng(37)
+        basis = np.array([random_hermitian(4, rng) for _ in range(3)])
+        x = rng.standard_normal((50, 3))
+        h = np.einsum("nk,kij->nij", x, basis)
+        expected = np.linalg.svd(h, compute_uv=False)[:, 2]
+        assert np.allclose(linalg.sigma3(basis, x), expected, rtol=0, atol=1e-12)
+
+    def test_vanishes_on_rank_two(self):
+        planted = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
+        assert linalg.sigma3(planted[None], np.ones((1, 1)))[0] == 0.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covpovm import constructions as cx
 from covpovm import group as grp
 from covpovm import linalg
 from covpovm import povm as pv
@@ -9,6 +10,7 @@ from covpovm.errors import DomainError, NotAnObservableError
 
 from support import (
     codim2_povm,
+    haar_unitary,
     make_wh_rep,
     pic3_seed,
     planted_witness_povm,
@@ -346,7 +348,7 @@ class TestCheckPic:
         result = pv.falsify(pv.operator_span(povm))
         assert result.residual < 1e-10
 
-    def test_codim2_without_low_rank_is_unfalsified(self):
+    def test_codim2_without_low_rank_is_certified(self):
         # complement spanned by diag(1,1,-1,-1)/2 and the anti-identity: every
         # real combination has eigenvalues +-sqrt(x^2+y^2) twice, rank 4
         t1 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex) / 2
@@ -357,14 +359,116 @@ class TestCheckPic:
         povm = povm_with_span(4, selfadjoint_basis(span))
         assert pv.validate(povm).passed
         verdict = pv.check_pic(povm, pv.FalsifierSettings(restarts=16))
-        assert verdict.status == pv.PIC_UNFALSIFIED
+        assert verdict.status == pv.PIC_CERTIFIED
         assert verdict.complement_dim == 2
-        assert verdict.residual > 1e-3
+        assert verdict.certificate == {
+            "method": "lipschitz-cover", "points": 6,
+            "min_sigma3": pytest.approx(0.5, abs=1e-12), "eig_error_bound": linalg.ZERO_ATOL,
+        }
 
     def test_witness_states_are_ray_distinct(self):
         verdict = pv.check_pic(single_identity_povm(3))
         psi, phi = verdict.witness
         assert abs(abs(psi.conj() @ phi) - 1) > 0.5
+
+
+def planted_plus_direction_povm(d, rng):
+    """Observable whose complement holds a planted rank-2 difference and one random direction."""
+    z = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+    q, _ = np.linalg.qr(z)
+    planted = np.outer(q[:, 0], q[:, 0].conj()) - np.outer(q[:, 1], q[:, 1].conj())
+    h = haar_unitary(d, rng)
+    extra = h @ np.diag(np.linspace(-1.0, 1.0, d)) @ h.conj().T
+    span = linalg.orthogonal_complement(linalg.span_orthonormalize([planted, extra]))
+    return povm_with_span(d, selfadjoint_basis(span))
+
+
+def random_complement_povm(d, c, seed):
+    """Observable whose complement is spanned by c random traceless Hermitian operators."""
+    rng = np.random.default_rng(seed)
+    directions = []
+    for _ in range(c):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = z + z.conj().T
+        directions.append(h - np.trace(h) / d * np.eye(d))
+    span = linalg.orthogonal_complement(linalg.span_orthonormalize(directions))
+    return povm_with_span(d, selfadjoint_basis(span))
+
+
+NOT_CERTIFIED = {
+    "cond1": lambda: cx.build_pic3(cx.Pic3Params(alpha=(1 / 32, 0.0, 1 / 32)),
+                                   enforce_conditions=False)[0],
+    "cond2": lambda: cx.build_pic3(cx.Pic3Params(v=(0j, 0j)), enforce_conditions=False)[0],
+    "planted-extra-d3": lambda: planted_plus_direction_povm(3, np.random.default_rng(41)),
+    "planted-extra-d4": lambda: planted_plus_direction_povm(4, np.random.default_rng(43)),
+    "identity-d2": lambda: single_identity_povm(2),
+    "identity-d3": lambda: single_identity_povm(3),
+}
+
+
+class TestCover:
+    """The Lipschitz cover of the complement's unit sphere, and what it leaves to the falsifier."""
+
+    @pytest.mark.parametrize("name, comp_dim", [
+        ("cond1", 2), ("cond2", 5), ("planted-extra-d3", 2), ("planted-extra-d4", 2),
+        ("identity-d2", 3), ("identity-d3", 8),
+    ])
+    def test_low_rank_complements_go_to_the_untouched_falsifier(self, monkeypatch, name, comp_dim):
+        povm = NOT_CERTIFIED[name]()
+        span = pv.operator_span(povm)
+        settings = pv.FalsifierSettings(restarts=8, rng_seed=3)
+        falsify, seen = pv.falsify, []
+        with monkeypatch.context() as m:
+            m.setattr(pv, "falsify", lambda *args: seen.append(falsify(*args)) or seen[-1])
+            verdict = pv.check_pic(povm, settings)
+        direct = pv.falsify(span, settings)
+        assert verdict.complement_dim == comp_dim
+        assert verdict.status != pv.PIC_CERTIFIED and verdict.certificate is None
+        assert len(seen) == 1
+        found = seen[0]
+        assert (found.restart, found.residual) == (direct.restart, direct.residual)
+        assert np.array_equal(found.psi, direct.psi) and np.array_equal(found.phi, direct.phi)
+        assert verdict.residual == direct.residual
+        if verdict.status == pv.NOT_PIC:
+            assert np.array_equal(verdict.witness[0], direct.psi)
+            assert np.array_equal(verdict.witness[1], direct.phi)
+
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_codim2_beyond_the_budget_is_unfalsified(self, monkeypatch, budget):
+        # 0 skips the cover (no cover of the circle fits); 5 starts it and
+        # runs out, the certificate needing 6 points
+        monkeypatch.setattr(pv, "COVER_BUDGET", budget)
+        verdict = pv.check_pic(codim2_povm(), pv.FalsifierSettings(restarts=16))
+        assert verdict.status == pv.PIC_UNFALSIFIED
+        assert verdict.complement_dim == 2
+        assert verdict.residual > 1e-3
+        assert verdict.certificate is None
+
+    @pytest.mark.parametrize("povm", [
+        pytest.param(codim2_povm(), id="codim2-d4"),
+        pytest.param(random_complement_povm(5, 3, 0), id="random-c3-d5"),
+    ])
+    def test_certified_complement_has_no_low_rank_sample(self, povm):
+        span = pv.operator_span(povm)
+        verdict = pv.check_pic(povm)
+        assert verdict.status == pv.PIC_CERTIFIED
+        basis, _ = linalg.selfadjoint_basis(linalg.orthogonal_complement(span))
+        x = np.random.default_rng(17).standard_normal((10 ** 4, len(basis)))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        h = np.einsum("nk,kij->nij", x, basis)
+        third = np.linalg.svd(h, compute_uv=False)[:, 2]
+        assert third.min() > linalg.ZERO_ATOL
+
+    def test_cover_is_skipped_where_it_cannot_certify(self, monkeypatch):
+        # sigma_3 vanishes for d = 2; for c = 8 no cover fits 256 points
+        assert pv._largest_coverable_dim(pv.COVER_BUDGET) == 7
+
+        def no_cover(*args):
+            raise AssertionError("the cover ran")
+
+        monkeypatch.setattr(pv, "_cover", no_cover)
+        assert pv.check_pic(single_identity_povm(3)).complement_dim == 8
+        assert pv.check_pic(single_identity_povm(2)).complement_dim == 3
 
 
 class TestJson:
