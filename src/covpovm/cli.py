@@ -183,6 +183,8 @@ def _cmd_construct(args) -> int:
 # --- analyze -------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
+    # checked before the file is read, whether or not a search runs
+    settings = pv.FalsifierSettings(restarts=args.falsifier_restarts, rng_seed=args.rng_seed)
     try:
         with open(args.file, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -204,9 +206,6 @@ def _cmd_analyze(args) -> int:
     }
     summary = f"{args.file}: span {span.dim}/{povm.dim ** 2}, ic={verdicts['ic']}"
     if args.pic:
-        settings = pv.FalsifierSettings(
-            restarts=args.falsifier_restarts, rng_seed=args.rng_seed
-        )
         verdict = pv._pic_verdict(span, settings)
         verdicts["pic"] = _verdict_dict(verdict)
         summary += f", pic={verdict.status}"

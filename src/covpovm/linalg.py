@@ -200,8 +200,9 @@ def selfadjoint_basis(space: OperatorSubspace) -> tuple[np.ndarray, float]:
     complex array viewed as its float pairs, whose dot product is the real HS
     inner product) their SVD gives the basis, counted by the rank rule; a
     subspace closed under the adjoint has exactly ``space.dim`` of them.
-    Returns the ``(k, d, d)`` basis and the spectral norm of G - I for its
-    Gram matrix G, so that ||sum_k x_k C_k||_HS <= sqrt(1 + defect) |x|.
+    Returns the ``(k, d, d)`` basis and the HS norm of G - I for its Gram
+    matrix G, which bounds the spectral norm, so that
+    ||sum_k x_k C_k||_HS <= sqrt(1 + defect) |x|.
     """
     d, k = space.dim_h, space.dim
     b, adj = space.basis, space.basis.conj().transpose(0, 2, 1)
@@ -214,19 +215,20 @@ def selfadjoint_basis(space: OperatorSubspace) -> tuple[np.ndarray, float]:
             "not closed under the adjoint"
         )
     basis = np.ascontiguousarray(vh[:r])
-    defect = float(np.linalg.norm(basis @ basis.T - np.eye(r), 2)) if r else 0.0
-    return basis.view(complex).reshape(r, d, d), defect
+    return basis.view(complex).reshape(r, d, d), hs_norm(basis @ basis.T - np.eye(r))
 
 
 def sigma3(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Third-largest |eigenvalue| of H(x) = sum_k x_k C_k for each row of x.
 
-    ``basis`` is a ``(k, d, d)`` stack of Hermitian matrices with d >= 3 and
-    ``x`` an ``(n, k)`` array of real coordinates; one batched eigensolve.
-    An operator in the span of the basis has rank at most two exactly when
-    this value is 0.
+    ``basis`` is a ``(k, d, d)`` stack of Hermitian matrices and ``x`` an
+    ``(n, k)`` array of real coordinates; one batched eigensolve.  An operator
+    in the span of the basis has rank at most two exactly when this value is
+    0, so it is 0 without a solve when d < 3.
     """
     k, d, _ = basis.shape
+    if d < 3:
+        return np.zeros(len(x))
     h = (x @ basis.reshape(k, d * d)).reshape(len(x), d, d)
     return np.sort(np.abs(np.linalg.eigvalsh(h)), axis=1)[:, -3]
 

@@ -4,27 +4,29 @@ An observable is a labelled family of positive operators summing to the
 identity.  The operator span S of its effects decides what the observable can
 resolve: full span means every state is identified, and pure states are all
 identified exactly when the orthogonal complement of S contains no nonzero
-selfadjoint operator of rank one or two.  A complement of dimension at most
-one is decided exactly by the rank of its generator.  A larger one is
-certified by a Lipschitz cover of its unit sphere when the third-largest
-|eigenvalue| stays away from zero and the cover fits its point budget;
-otherwise a randomized falsifier searches for a pair of pure states the
-observable cannot tell apart.
+selfadjoint operator of rank one or two.  Every nonzero complement is decided
+on one path: a Lipschitz cover of its unit sphere certifies it when the
+third-largest |eigenvalue| stays above ZERO_ATOL and the cover fits its point
+budget (a one-dimensional complement is the cover's single point), and a
+centre where that value vanishes yields a witness pair.  Otherwise a
+randomized falsifier searches for a pair of pure states the observable cannot
+tell apart.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, InconsistencyError, NotAnObservableError
+from .errors import DomainError, NotAnObservableError
 from .linalg import (
     ATOL, ZERO_ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex,
-    hermitian_eig, hs_norm, numerical_rank, orthogonal_complement, psd_defects,
-    require_psd, selfadjoint_basis, sigma3, span_orthonormalize,
+    hermitian_eig, hs_norm, orthogonal_complement, psd_defects, require_psd,
+    selfadjoint_basis, sigma3, span_orthonormalize,
 )
 
 if TYPE_CHECKING:  # annotations only; rep and group load on first use
@@ -355,6 +357,7 @@ def falsify(span: OperatorSubspace, settings: FalsifierSettings | None = None) -
     return FalsifierResult(float(np.sqrt(max(f, 0.0))), psi, phi, r)
 
 
+@cache
 def _largest_coverable_dim(budget: int) -> int:
     """Largest complement dimension c whose sphere a cover of ``budget`` points could cover.
 
@@ -377,7 +380,7 @@ def _largest_coverable_dim(budget: int) -> int:
     return n + 1
 
 
-def _cover(basis: np.ndarray, gram_defect: float) -> dict | None:
+def _cover(basis: np.ndarray, gram_defect: float) -> dict | np.ndarray | None:
     """Certify sigma_3(H(x)) > 0 on the unit sphere by branch and bound.
 
     H(x) = sum_k x_k C_k is sqrt(1 + gram_defect)-Lipschitz in operator norm,
@@ -387,87 +390,79 @@ def _cover(basis: np.ndarray, gram_defect: float) -> dict | None:
     exceeds the Lipschitz constant times its chordal radius, bounded by
     |h| / sqrt(m |u|) with m the smallest norm in the cell (from
     |a/|a| - b/|b||^2 <= |a - b|^2 / (|a| |b|)).  Open cells are bisected
-    along their longest side, one batched eigensolve per level.  Returns the
-    certificate, or None once a centre has sigma_3 <= ZERO_ATOL or the next
-    level would exceed COVER_BUDGET points.
+    along their longest side, one batched eigensolve per level.  For c = 1 the
+    one face is a single point of radius 0, certified exactly when its
+    sigma_3 exceeds ZERO_ATOL.  Returns the certificate; else the unit
+    coordinates of the first centre of least sigma_3 once one has sigma_3 <=
+    ZERO_ATOL; else None when the next level would exceed COVER_BUDGET points.
     """
     c = len(basis)
     lipschitz = math.sqrt(1 + gram_defect)
     centre, half = np.eye(c), 1.0 - np.eye(c)
     points, low = 0, math.inf
-    while len(centre):
+    while True:
         if points + len(centre) > COVER_BUDGET:
             return None
         norm = np.sqrt(np.einsum("ij,ij->i", centre, centre))
-        s3 = sigma3(basis, centre / norm[:, None])
+        unit = centre / norm[:, None]
+        s3 = sigma3(basis, unit)
         points += len(centre)
         low = min(low, float(s3.min()))
         if low <= ZERO_ATOL:
-            return None
+            return unit[np.argmin(s3)]
         nearest = np.maximum(np.abs(centre) - half, 0.0)
         radius = lipschitz * np.sqrt(
             np.einsum("ij,ij->i", half, half)
             / (np.sqrt(np.einsum("ij,ij->i", nearest, nearest)) * norm)
         )
         keep = s3 - ZERO_ATOL <= radius
+        if not keep.any():
+            return {"method": "lipschitz-cover", "points": points, "min_sigma3": low,
+                    "eig_error_bound": ZERO_ATOL}
         centre, half = centre[keep], half[keep]
         rows, side = np.arange(len(half)), np.argmax(half, axis=1)
         half[rows, side] /= 2
         step = np.zeros_like(half)
         step[rows, side] = half[rows, side]
         centre, half = np.concatenate([centre - step, centre + step]), np.concatenate([half, half])
-    return {"method": "lipschitz-cover", "points": points, "min_sigma3": low,
-            "eig_error_bound": ZERO_ATOL}
-
-
-def _selfadjoint_generator(comp: OperatorSubspace) -> np.ndarray:
-    k = comp.basis[0]
-    cand_a = (k + k.conj().T) / 2
-    cand_b = (k - k.conj().T) / 2j
-    h = cand_a if hs_norm(cand_a) >= hs_norm(cand_b) else cand_b
-    n = hs_norm(h)
-    if n < ATOL:
-        raise InconsistencyError("complement generator has no selfadjoint part")
-    return h / n
 
 
 def check_pic(povm: Povm, settings: FalsifierSettings | None = None) -> PicVerdict:
     """Decide pure-state informational completeness.
 
-    Empty complement certifies immediately.  A one-dimensional complement is
-    generated by a single selfadjoint traceless operator; rank three or more
-    certifies, rank two yields an explicit witness pair from its spectral
-    decomposition.  A larger complement (in dimension d >= 3) is certified
-    when a Lipschitz cover of its unit sphere within COVER_BUDGET points keeps
-    the third-largest |eigenvalue| above zero; the verdict then carries the
-    cover's certificate.  Otherwise, or when no such cover can fit the budget,
-    the falsifier searches for a witness; failure to find one is reported as
-    unfalsified, not as a proof.
+    Empty complement certifies immediately.  A nonzero complement of dimension
+    c is certified when a Lipschitz cover of its unit sphere within
+    COVER_BUDGET points keeps the third-largest |eigenvalue| above ZERO_ATOL;
+    the verdict then carries the cover's certificate (one point when c = 1).
+    A centre where that value is at most ZERO_ATOL is an operator of rank at
+    most two, and its top and bottom eigenvectors are the witness pair once
+    their difference passes the falsifier's residual test against the span.
+    Otherwise, or when no cover of c dimensions fits the budget, the falsifier
+    searches for a witness; failure to find one is reported as unfalsified,
+    not as a proof.
     """
     return _pic_verdict(operator_span(povm), settings)
 
 
 def _pic_verdict(span: OperatorSubspace, settings: FalsifierSettings | None) -> PicVerdict:
     """The decision of :func:`check_pic`, taken on an already computed span."""
+    settings = settings or FalsifierSettings()
     comp_dim = span.dim_h ** 2 - span.dim
     if comp_dim == 0:
         return PicVerdict(PIC_CERTIFIED, 0)
-    if comp_dim == 1:
-        comp = orthogonal_complement(span)
-        h = _selfadjoint_generator(comp)
-        if numerical_rank(h) >= 3:
-            return PicVerdict(PIC_CERTIFIED, 1)
-        vals, vecs = hermitian_eig(h)
-        psi, phi = vecs[:, 0], vecs[:, -1]
-        d = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
-        residual = hs_norm(span.project(d))
-        return PicVerdict(NOT_PIC, 1, witness=(psi, phi), residual=residual)
-    if span.dim_h >= 3 and comp_dim <= _largest_coverable_dim(COVER_BUDGET):
-        certificate = _cover(*selfadjoint_basis(orthogonal_complement(span)))
-        if certificate is not None:
-            return PicVerdict(PIC_CERTIFIED, comp_dim, certificate=certificate)
+    if comp_dim <= _largest_coverable_dim(COVER_BUDGET):
+        basis, gram_defect = selfadjoint_basis(orthogonal_complement(span))
+        found = _cover(basis, gram_defect)
+        if isinstance(found, dict):
+            return PicVerdict(PIC_CERTIFIED, comp_dim, certificate=found)
+        if found is not None:
+            _, vecs = hermitian_eig(np.einsum("k,kij->ij", found, basis))
+            psi, phi = vecs[:, 0], vecs[:, -1]
+            residual = math.sqrt(max(_pair_objective(span, psi, phi)[0], 0.0))
+            if residual ** 2 < settings.witness_threshold:
+                return PicVerdict(NOT_PIC, comp_dim, witness=(psi, phi), residual=residual)
     result = falsify(span, settings)
-    if result.residual ** 2 < (settings or FalsifierSettings()).witness_threshold:
+    if result.residual ** 2 < settings.witness_threshold:
         return PicVerdict(
             NOT_PIC, comp_dim, witness=(result.psi, result.phi), residual=result.residual
         )

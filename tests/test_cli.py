@@ -251,6 +251,17 @@ class TestAnalyze:
         assert code == 2
         assert message in err and message in report["error"]
 
+    @pytest.mark.parametrize("option, message", [
+        (["--rng-seed", "-1"], "non-negative"),
+        (["--falsifier-restarts", "0"], "restart"),
+    ], ids=["seed", "restarts"])
+    def test_falsifier_settings_checked_without_pic(self, tmp_path, capsys, option, message):
+        out = tmp_path / "quat3.json"
+        run_cli(capsys, "construct", "quat3", "-o", str(out))
+        code, report, err = run_cli(capsys, "analyze", str(out), *option)
+        assert code == 2
+        assert message in err and message in report["error"]
+
     def test_codim2_certificate(self, tmp_path, capsys):
         path = tmp_path / "codim2.json"
         path.write_text(json.dumps(pv.povm_to_json(codim2_povm())))
@@ -264,8 +275,9 @@ class TestAnalyze:
         assert pic["certificate"]["min_sigma3"] == pytest.approx(0.5, abs=1e-12)
 
     def test_certificate_only_when_the_verdict_has_one(self, tmp_path, capsys):
-        out = tmp_path / "quat3.json"
-        run_cli(capsys, "construct", "quat3", "-o", str(out))
+        # c = 8: no cover fits the budget, and the falsifier finds a witness
+        out = tmp_path / "mixed.json"
+        run_cli(capsys, "construct", "wh", "--dim", "3", "--mixed", "-o", str(out))
         _, report, _ = run_cli(capsys, "analyze", str(out), "--pic")
         assert list(report["verdicts"]["pic"]) == ["status", "complement_dim", "residual",
                                                    "witness"]

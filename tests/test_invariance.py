@@ -2,10 +2,10 @@
 
 Conjugating every effect by one unitary maps the span onto a unitarily
 equivalent subspace, and permuting the outcomes leaves the span itself alone;
-neither may move the span dimension or the PIC verdict.  The observables are
-the ones decided exactly (complement of dimension 0 or 1), so no falsifier
-search runs, and the d = 4 codim-2 observable, certified by the cover of its
-complement's sphere.
+neither may move the span dimension, the PIC verdict or a certificate's
+min sigma_3.  The observables have complements of dimension 0 or 1, decided
+without a falsifier search (at c = 1 by the cover's one point), plus the d = 4
+codim-2 observable, certified by the cover of its complement's sphere.
 
 Covariance itself is checked here over every group element, independently of
 ``build_covariant``, on observables whose coset space has a nontrivial subgroup.
@@ -54,6 +54,9 @@ def assert_same_analysis(name, moved):
     assert pv.operator_span(moved).dim == span_dim
     again = pv.check_pic(moved)
     assert (again.status, again.complement_dim) == (verdict.status, verdict.complement_dim)
+    if verdict.certificate is not None:
+        assert again.certificate["min_sigma3"] == pytest.approx(
+            verdict.certificate["min_sigma3"], abs=1e-9)
 
 
 def test_panel_is_decided_on_the_exact_paths():

@@ -348,6 +348,30 @@ class TestCheckPic:
         result = pv.falsify(pv.operator_span(povm))
         assert result.residual < 1e-10
 
+    @pytest.mark.parametrize("build", [
+        lambda: cx.build_quat3_pic()[0], lambda: cx.build_dihedral3_pic()[0],
+        lambda: cx.build_rank1_pic3(0.7, (1 / 24, 1 / 12, 1 / 12)),
+    ], ids=["quat3", "dihedral3", "rank1"])
+    def test_codim1_certificate_is_one_point(self, build):
+        # the complement is the line through diag(2, -1, -1) / sqrt(6)
+        verdict = pv.check_pic(build())
+        assert (verdict.status, verdict.complement_dim) == (pv.PIC_CERTIFIED, 1)
+        assert verdict.certificate["points"] == 1
+        assert verdict.certificate["min_sigma3"] == pytest.approx(1 / np.sqrt(6), abs=1e-12)
+
+    @pytest.mark.parametrize("eps, status", [(1e-11, pv.PIC_CERTIFIED), (1e-14, pv.NOT_PIC)])
+    def test_codim1_rank_cut_is_zero_atol(self, eps, status):
+        # generator diag(1, -1 - eps, eps) / sqrt(2) has rank 3 and sigma_3 = eps / sqrt(2):
+        # it certifies above ZERO_ATOL and is a witness below it
+        gen = np.diag([1.0, -1.0 - eps, eps]).astype(complex)
+        span = linalg.orthogonal_complement(linalg.span_orthonormalize([gen]))
+        verdict = pv.check_pic(povm_with_span(3, selfadjoint_basis(span)))
+        assert (verdict.status, verdict.complement_dim) == (status, 1)
+        if status == pv.PIC_CERTIFIED:
+            assert verdict.certificate["min_sigma3"] == pytest.approx(eps / np.sqrt(2), rel=1e-3)
+        else:
+            assert verdict.certificate is None and verdict.residual < 1e-13
+
     def test_codim2_without_low_rank_is_certified(self):
         # complement spanned by diag(1,1,-1,-1)/2 and the anti-identity: every
         # real combination has eigenvalues +-sqrt(x^2+y^2) twice, rank 4
@@ -401,7 +425,6 @@ NOT_CERTIFIED = {
     "cond2": lambda: cx.build_pic3(cx.Pic3Params(v=(0j, 0j)), enforce_conditions=False)[0],
     "planted-extra-d3": lambda: planted_plus_direction_povm(3, np.random.default_rng(41)),
     "planted-extra-d4": lambda: planted_plus_direction_povm(4, np.random.default_rng(43)),
-    "identity-d2": lambda: single_identity_povm(2),
     "identity-d3": lambda: single_identity_povm(3),
 }
 
@@ -411,7 +434,7 @@ class TestCover:
 
     @pytest.mark.parametrize("name, comp_dim", [
         ("cond1", 2), ("cond2", 5), ("planted-extra-d3", 2), ("planted-extra-d4", 2),
-        ("identity-d2", 3), ("identity-d3", 8),
+        ("identity-d3", 8),
     ])
     def test_low_rank_complements_go_to_the_untouched_falsifier(self, monkeypatch, name, comp_dim):
         povm = NOT_CERTIFIED[name]()
@@ -460,7 +483,7 @@ class TestCover:
         assert third.min() > linalg.ZERO_ATOL
 
     def test_cover_is_skipped_where_it_cannot_certify(self, monkeypatch):
-        # sigma_3 vanishes for d = 2; for c = 8 no cover fits 256 points
+        # for c = 8 no cover fits 256 points
         assert pv._largest_coverable_dim(pv.COVER_BUDGET) == 7
 
         def no_cover(*args):
@@ -468,7 +491,27 @@ class TestCover:
 
         monkeypatch.setattr(pv, "_cover", no_cover)
         assert pv.check_pic(single_identity_povm(3)).complement_dim == 8
-        assert pv.check_pic(single_identity_povm(2)).complement_dim == 3
+
+    @pytest.mark.parametrize("effects, comp_dim", [
+        (lambda p: [np.eye(2)], 3),
+        (lambda p: [p, np.eye(2) - p], 2),
+        (lambda p: [p / 2, p / 2, np.eye(2) - p], 2),
+    ], ids=["1-outcome", "2-outcomes", "3-outcomes"])
+    def test_qubit_complement_has_a_witness_at_the_first_centre(self, monkeypatch, effects,
+                                                               comp_dim):
+        # every traceless 2x2 operator has rank <= 2, so sigma_3 is 0 everywhere
+        v = haar_unitary(2, np.random.default_rng(2))[:, 0]
+        povm = pv.Povm(2, enumerate(effects(np.outer(v, v.conj()))))
+
+        def no_falsify(*args):
+            raise AssertionError("the falsifier ran")
+
+        monkeypatch.setattr(pv, "falsify", no_falsify)
+        verdict = pv.check_pic(povm)
+        assert (verdict.status, verdict.complement_dim) == (pv.NOT_PIC, comp_dim)
+        assert verdict.residual < 1e-12
+        psi, phi = verdict.witness
+        assert abs(psi.conj() @ phi) < 1e-12
 
 
 class TestJson:
