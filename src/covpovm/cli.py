@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("file")
     a.add_argument("--pic", action="store_true", help="run the pure-state analysis")
     a.add_argument("--rng-seed", type=int, default=0)
-    a.add_argument("--falsifier-restarts", type=int, default=64)
+    a.add_argument("--falsifier-restarts", type=int, default=64, help="witness-search starts")
     a.set_defaults(func=_cmd_analyze)
 
     g = sub.add_parser("group", help="inspect a group and its representations")

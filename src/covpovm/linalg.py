@@ -14,7 +14,6 @@ Complex arrays cross JSON as nested ``[re, im]`` pairs through one codec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -150,9 +149,7 @@ def numerical_rank(a) -> int:
 class OperatorSubspace:
     """Subspace of the d*d operator space, held as a (k, d, d) HS-orthonormal basis.
 
-    ``_flat`` is the same basis as a (k, d*d) view, kept from construction on;
-    its conjugate is built at the first projection and kept, so spans that are
-    never projected on do not hold a second copy of the basis.
+    ``_flat`` is the same basis as a (k, d*d) view, kept from construction on.
     """
 
     dim_h: int
@@ -172,10 +169,6 @@ class OperatorSubspace:
         if np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max(initial=0.0) > PHASE_ATOL:
             raise DomainError("basis is not HS-orthonormal")
 
-    @cached_property
-    def _flat_conj(self) -> np.ndarray:
-        return self._flat.conj()
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -185,7 +178,7 @@ class OperatorSubspace:
         m = np.asarray(m)
         if m.shape != (self.dim_h, self.dim_h):
             raise ShapeError(f"expected a {self.dim_h}x{self.dim_h} matrix, got {m.shape}")
-        return self._flat_conj @ m.reshape(-1)
+        return self._flat.conj() @ m.reshape(-1)
 
     def project(self, m) -> np.ndarray:
         """Orthogonal projection of m onto the subspace."""

@@ -8,8 +8,9 @@ selfadjoint operator of rank one or two.  Every nonzero complement is decided
 on one path: a Lipschitz cover of its unit sphere certifies it when the
 third-largest |eigenvalue| stays above ZERO_ATOL and the cover fits its point
 budget (a one-dimensional complement is the cover's single point), and a
-centre where that value vanishes yields a witness pair.  Otherwise a
-randomized falsifier searches for a pair of pure states the observable cannot
+centre where that value vanishes yields a witness pair.  Otherwise a BFGS
+search on the complement's unit sphere looks for an element of rank at most
+two, whose top and bottom eigenvectors are pure states the observable cannot
 tell apart.
 """
 
@@ -24,9 +25,8 @@ import numpy as np
 
 from .errors import DomainError, NotAnObservableError
 from .linalg import (
-    ATOL, ZERO_ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex,
-    hermitian_eig, hs_norm, orthogonal_complement, psd_defects, require_psd,
-    selfadjoint_basis, sigma3, span_orthonormalize,
+    ATOL, ZERO_ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex, hs_norm,
+    orthogonal_complement, psd_defects, require_psd, selfadjoint_basis, sigma3, span_orthonormalize,
 )
 
 if TYPE_CHECKING:  # annotations only; rep and group load on first use
@@ -39,6 +39,9 @@ NOT_PIC = "not_PIC"
 
 # Centres the complement cover may evaluate before the falsifier decides.
 COVER_BUDGET = 256
+
+# Falsifier search: start points per complement dimension, shortest step, stall share of g.
+START_SAMPLES, SHORTEST_STEP, STALL = 16, 2.0 ** -10, 1e-10
 
 
 class Povm:
@@ -234,7 +237,7 @@ def abelian_obstruction_certificate(rep: rp.ProjectiveRep):
 
 @dataclass(frozen=True)
 class FalsifierSettings:
-    """Budget and determinism knobs for the pure-state pair search.
+    """Restarts, BFGS steps per restart, seed and thresholds of the witness search.
 
     Checked once, at construction: at least one restart and a non-negative seed.
     """
@@ -244,7 +247,7 @@ class FalsifierSettings:
     rng_seed: int = 0
     # squared projection norm below which a candidate pair counts as a witness
     witness_threshold: float = 1e-12
-    # hard floor: stop restarting once a pair this deep is found
+    # a restart stops once its objective is this small
     floor: float = 1e-26
 
     def __post_init__(self):
@@ -272,89 +275,95 @@ class PicVerdict:
     certificate: dict | None = None
 
 
-def _pair_objective(span: OperatorSubspace, psi: np.ndarray, phi: np.ndarray):
-    # the broadcast product np.outer performs, without its call overhead
-    d = psi[:, None] * psi.conj() - phi[:, None] * phi.conj()
-    g = span.project(d)
-    # g is the selfadjoint projection of d, so <g, d> = ||g||^2
-    return float((g.conj() * d).sum().real), g
+def _complement_basis(span: OperatorSubspace) -> tuple[np.ndarray, float]:
+    """Selfadjoint basis of the span's traceless complement, and its Gram defect.
 
-
-def _orthonormal_pair(rng, dim):
-    z = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-    q, _ = np.linalg.qr(z)
-    return q[:, 0], q[:, 1]
-
-
-def _norm(v):
-    """np.linalg.norm of a contiguous complex vector, by the formula it evaluates.
-
-    The square root is correctly rounded in math as in numpy, so the value is
-    the same double.
+    Pure-state differences are traceless.  An observable's span holds I, so its
+    complement is; otherwise I's projection is rotated out, keeping the basis orthonormal.
     """
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    basis, gram_defect = selfadjoint_basis(orthogonal_complement(span))
+    trace = np.einsum("kii->k", basis).real
+    if math.sqrt(trace @ trace) > ATOL:
+        basis = np.einsum("jk,kab->jab", np.linalg.svd(trace[None])[2][1:], basis)
+    return basis, gram_defect
 
 
-def _retract(psi, phi):
-    psi = psi / _norm(psi)
-    phi = phi - (psi.conj() @ phi) * psi
-    n = _norm(phi)
-    if n < 1e-12:
-        return None
-    return psi, phi / n
+def _witness(basis: np.ndarray, v: np.ndarray, restart: int = 0) -> FalsifierResult:
+    """The last and first columns of v (ascending eigenvectors) as a candidate pair.
+
+    Its residual, |psi><psi| - |phi><phi| less its projection onto the complement
+    basis, is its projection onto the span when the span holds I (else an upper bound).
+    """
+    psi, phi = v[:, -1], v[:, 0]
+    diff = (psi[:, None] * psi.conj() - phi[:, None] * phi.conj()).ravel()
+    flat = basis.reshape(len(basis), len(diff))
+    rest = diff - (flat.conj() @ diff).real @ flat
+    residual = math.sqrt(rest.real @ rest.real + rest.imag @ rest.imag)
+    return FalsifierResult(residual, psi, phi, restart)
 
 
-def _descend(span: OperatorSubspace, psi, phi, settings: FalsifierSettings):
-    f, g = _pair_objective(span, psi, phi)
-    step = 0.25
-    for _ in range(settings.max_iterations):
-        if f <= settings.floor:
-            break
-        g_sym = g + g.conj().T
-        grad_psi = g_sym @ psi
-        grad_phi = -(g_sym @ phi)
-        moved = False
-        while step > 1e-18:
-            trial = _retract(psi - step * grad_psi, phi - step * grad_phi)
-            if trial is not None:
-                f2, g2 = _pair_objective(span, *trial)
-                if f2 < f:
-                    psi, phi = trial
-                    f, g = f2, g2
-                    step = min(step * 2.0, 1.0)
-                    moved = True
-                    break
-            step *= 0.5
-        if not moved:
-            break
-    return f, psi, phi
+def _search(basis: np.ndarray, settings: FalsifierSettings) -> FalsifierResult:
+    """BFGS on the complement's unit sphere for an element of rank at most two.
+
+    g(x) sums lambda_i(H(x))^2 over the eigenvalues of H(x) = sum_k x_k C_k bar the
+    extreme two, so it vanishes exactly at rank <= 2; its gradient, Re <C_k, sum_i
+    2 lambda_i v_i v_i*>, comes from the same eigh.  Restart r starts at the least-g of
+    START_SAMPLES * c points from rng (rng_seed, r), takes Armijo steps in the tangent
+    space and normalises; it ends at the floor, after max_iterations steps or at a
+    stall.  The search ends at the first restart that lands on a witness.
+    """
+    c, d, _ = basis.shape
+    if not c:  # every traceless operator lies in the span
+        return _witness(basis, np.eye(d))
+    flat = np.ascontiguousarray(basis).view(float).reshape(c, 2 * d * d)
+
+    def evaluate(x):
+        x = x / math.sqrt(x @ x)
+        w, v = np.linalg.eigh((x @ flat).view(complex).reshape(d, d))
+        inner, vin = w[1:-1], v[:, 1:-1]
+        grad = flat @ ((vin * (2 * inner)) @ vin.conj().T).view(float).ravel()
+        return x, float(inner @ inner), grad - (x @ grad) * x, v
+
+    best = None
+    for r in range(settings.restarts):
+        xs = np.random.default_rng([settings.rng_seed, r]).standard_normal((START_SAMPLES * c, c))
+        w = np.linalg.eigvalsh((xs @ flat).view(complex).reshape(len(xs), d, d))[:, 1:-1]
+        x, f, grad, v = evaluate(xs[np.argmin((w * w).sum(axis=1) / (xs * xs).sum(axis=1))])
+        inv = np.eye(c)
+        for _ in range(settings.max_iterations):
+            if f <= settings.floor:
+                break
+            step = (x @ inv @ grad) * x - inv @ grad  # -inv grad, along the sphere
+            alpha = 1.0
+            x2, f2, grad2, v2 = evaluate(x + step)
+            while f2 > f + 1e-4 * alpha * (grad @ step) and alpha > SHORTEST_STEP:
+                alpha /= 2
+                x2, f2, grad2, v2 = evaluate(x + alpha * step)
+            if f - f2 <= STALL * f:
+                break
+            # the secant pair, carried to the tangent space at x2
+            s, dg = x2 - x - (x2 @ (x2 - x)) * x2, grad2 - grad + (grad @ x2) * x2
+            if s @ dg > 0:
+                t = np.eye(c) - np.outer(s, dg) / (s @ dg)
+                inv = t @ inv @ t.T + np.outer(s, s) / (s @ dg)
+            x, f, grad, v = x2, f2, grad2, v2
+        if best is None or f < best[0]:
+            best = (f, _witness(basis, v, r))
+            if best[1].residual ** 2 < settings.witness_threshold:
+                break
+    return best[1]
 
 
 def falsify(span: OperatorSubspace, settings: FalsifierSettings | None = None) -> FalsifierResult:
-    """Search for a pure-state pair whose difference escapes the span.
+    """Search the span's traceless complement for an element of rank at most two.
 
-    Any nonzero traceless selfadjoint operator of rank at most two is a
-    scalar multiple of |psi><psi| - |phi><phi| with psi and phi orthonormal,
-    so the search runs over orthonormal pairs; this keeps the degenerate
-    psi = phi direction out of the landscape entirely.  Deterministic for a
-    fixed seed: restart r draws from rng seeded with (rng_seed, r) and ties
-    between equal minima resolve to the earliest restart.  A step evaluates
-    exactly the arithmetic of ``np.outer`` and ``np.linalg.norm``, written
-    without their call overhead, so witnesses and restart counts are those of
-    the plain calls bit for bit.
+    Such an element is a multiple of |psi><psi| - |phi><phi| with psi, phi
+    its top and bottom eigenvectors, so :func:`_search` runs on the unit
+    sphere of the complement and reports those eigenvectors at its best
+    point, with their residual against the span.  Deterministic for a fixed
+    seed; ties go to the earliest restart.
     """
-    settings = settings or FalsifierSettings()
-    best = None
-    for r in range(settings.restarts):
-        rng = np.random.default_rng([settings.rng_seed, r])
-        psi0, phi0 = _orthonormal_pair(rng, span.dim_h)
-        f, psi, phi = _descend(span, psi0, phi0, settings)
-        if best is None or f < best[0]:
-            best = (f, psi, phi, r)
-        if best[0] <= settings.floor:
-            break
-    f, psi, phi, r = best
-    return FalsifierResult(float(np.sqrt(max(f, 0.0))), psi, phi, r)
+    return _search(_complement_basis(span)[0], settings or FalsifierSettings())
 
 
 @cache
@@ -437,9 +446,9 @@ def check_pic(povm: Povm, settings: FalsifierSettings | None = None) -> PicVerdi
     A centre where that value is at most ZERO_ATOL is an operator of rank at
     most two, and its top and bottom eigenvectors are the witness pair once
     their difference passes the falsifier's residual test against the span.
-    Otherwise, or when no cover of c dimensions fits the budget, the falsifier
-    searches for a witness; failure to find one is reported as unfalsified,
-    not as a proof.
+    Otherwise, or when no cover of c dimensions fits the budget, the
+    falsifier searches the same (traceless) complement basis; failure to find
+    a witness is reported as unfalsified, not as a proof.
     """
     return _pic_verdict(operator_span(povm), settings)
 
@@ -450,23 +459,21 @@ def _pic_verdict(span: OperatorSubspace, settings: FalsifierSettings | None) -> 
     comp_dim = span.dim_h ** 2 - span.dim
     if comp_dim == 0:
         return PicVerdict(PIC_CERTIFIED, 0)
-    if comp_dim <= _largest_coverable_dim(COVER_BUDGET):
-        basis, gram_defect = selfadjoint_basis(orthogonal_complement(span))
-        found = _cover(basis, gram_defect)
-        if isinstance(found, dict):
-            return PicVerdict(PIC_CERTIFIED, comp_dim, certificate=found)
-        if found is not None:
-            _, vecs = hermitian_eig(np.einsum("k,kij->ij", found, basis))
-            psi, phi = vecs[:, 0], vecs[:, -1]
-            residual = math.sqrt(max(_pair_objective(span, psi, phi)[0], 0.0))
-            if residual ** 2 < settings.witness_threshold:
-                return PicVerdict(NOT_PIC, comp_dim, witness=(psi, phi), residual=residual)
-    result = falsify(span, settings)
-    if result.residual ** 2 < settings.witness_threshold:
-        return PicVerdict(
-            NOT_PIC, comp_dim, witness=(result.psi, result.phi), residual=result.residual
-        )
-    return PicVerdict(PIC_UNFALSIFIED, comp_dim, residual=result.residual)
+    basis, gram_defect = _complement_basis(span)
+    if not len(basis):  # the span holds every traceless operator
+        return PicVerdict(PIC_CERTIFIED, comp_dim)
+    found = None
+    if len(basis) <= _largest_coverable_dim(COVER_BUDGET):
+        centre = _cover(basis, gram_defect)
+        if isinstance(centre, dict):
+            return PicVerdict(PIC_CERTIFIED, comp_dim, certificate=centre)
+        if centre is not None:  # an element of rank <= 2
+            found = _witness(basis, np.linalg.eigh(np.einsum("k,kij->ij", centre, basis))[1])
+    if found is None or found.residual ** 2 >= settings.witness_threshold:
+        found = _search(basis, settings)
+    if found.residual ** 2 >= settings.witness_threshold:
+        return PicVerdict(PIC_UNFALSIFIED, comp_dim, residual=found.residual)
+    return PicVerdict(NOT_PIC, comp_dim, witness=(found.psi, found.phi), residual=found.residual)
 
 
 # --- JSON interchange -----------------------------------------------------------

@@ -125,25 +125,54 @@ def planted_witness_povm(dim, rng):
     return povm, psi, phi
 
 
-def reference_pair_objective(span, psi, phi):
-    """The falsifier's objective on np.outer and a projection from the basis.
+def random_traceless(d, rng):
+    """A random traceless Hermitian d x d operator."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = z + z.conj().T
+    return h - np.trace(h) / d * np.eye(d)
 
-    The reference the falsifier's step is held to bit for bit.
+
+def planted_complement_povm(dim, comp_dim, rng):
+    """POVM whose complement holds a planted pure-state difference among random directions.
+
+    The complement is spanned by |psi><psi| - |phi><phi| for a random
+    orthonormal pair and comp_dim - 1 random traceless operators.  Returns the
+    observable with the planted pair.
     """
-    d = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
-    flat = span.basis.reshape(len(span.basis), -1)
-    g = ((flat.conj() @ d.reshape(-1)) @ flat).reshape(d.shape)
-    return float(np.sum(np.conj(g) * d).real), g
+    from covpovm import linalg
+
+    q = haar_unitary(dim, rng)
+    psi, phi = q[:, 0], q[:, 1]
+    directions = [np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())]
+    directions += [random_traceless(dim, rng) for _ in range(comp_dim - 1)]
+    span = linalg.orthogonal_complement(linalg.span_orthonormalize(directions))
+    return povm_with_span(dim, linalg.selfadjoint_basis(span)[0]), psi, phi
 
 
-def reference_retract(psi, phi):
-    """The falsifier's retraction onto orthonormal pairs, on np.linalg.norm."""
-    psi = psi / np.linalg.norm(psi)
-    phi = phi - (psi.conj() @ phi) * psi
-    n = np.linalg.norm(phi)
-    if n < 1e-12:
-        return None
-    return psi, phi / n
+def f20_rank1_povm(seed):
+    """d = 4 observable with 10 rank-1 outcomes, covariant under F20 = AGL(1, 5).
+
+    F20 (x -> a x + b on Z_5) acts on the functions on Z_5 that sum to zero.
+    The seed is 2/5 |psi><psi| with psi a random vector of the -1 (even seed)
+    or +1 (odd seed) eigenspace of U(x -> -x), so its translates over the
+    cosets of {x, -x} sum to the identity.  The complement has dimension 6.
+    """
+    from covpovm.povm import Povm
+
+    rng = np.random.default_rng(seed)
+    frame = np.linalg.qr(np.concatenate([np.ones((5, 1)), rng.standard_normal((5, 4))], axis=1))[0]
+
+    def u(a, b):
+        perm = np.zeros((5, 5))
+        perm[(a * np.arange(5) + b) % 5, np.arange(5)] = 1
+        return frame[:, 1:].T @ perm @ frame[:, 1:]
+
+    vals, vecs = np.linalg.eigh(u(4, 0))
+    space = vecs[:, np.isclose(vals, 1 if seed % 2 else -1)]
+    psi = space @ (rng.standard_normal(space.shape[1]) + 1j * rng.standard_normal(space.shape[1]))
+    psi /= np.linalg.norm(psi)
+    ops = [u(a, b) @ (0.4 * np.outer(psi, psi.conj())) @ u(a, b).T for a in (1, 2) for b in range(5)]
+    return Povm(4, enumerate(ops))
 
 
 def codim2_povm():

@@ -41,10 +41,11 @@ PUBLIC = {
 }
 
 
-def loaded_after(statement: str) -> set:
-    """covpovm modules in sys.modules after running the statement in a fresh interpreter."""
+def loaded_after(statement: str, package: str = "covpovm") -> set:
+    """Modules of ``package`` in sys.modules after running the statement in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.startswith('covpovm')))"
+    code = (f"import sys; {statement}; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     return set(eval(out))
@@ -77,3 +78,13 @@ def test_cli_import_leaves_rep_group_constructions_unloaded():
 def test_submodule_attribute_loads_on_access():
     assert loaded_after("import covpovm") == {"covpovm"}
     assert "covpovm.rep" in loaded_after("import covpovm; covpovm.rep")
+
+
+def test_check_pic_leaves_scipy_unloaded():
+    # cond1 (d = 3, complement 2) runs both the cover and the falsifier's search
+    cond1 = ("from covpovm import constructions as cx, povm as pv; "
+             "pv.check_pic(cx.build_pic3(cx.Pic3Params(alpha=(1 / 32, 0.0, 1 / 32)), "
+             "enforce_conditions=False)[0])")
+    assert loaded_after(cond1, "scipy") == set()
+    # the probe sees scipy where it is loaded
+    assert "scipy" in loaded_after("import scipy", "scipy")

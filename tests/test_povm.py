@@ -10,13 +10,14 @@ from covpovm.errors import DomainError, NotAnObservableError
 
 from support import (
     codim2_povm,
+    f20_rank1_povm,
     haar_unitary,
     make_wh_rep,
     pic3_seed,
+    planted_complement_povm,
     planted_witness_povm,
     povm_with_span,
-    reference_pair_objective,
-    reference_retract,
+    random_traceless,
     selfadjoint_basis,
 )
 
@@ -272,45 +273,67 @@ class TestFalsifier:
         with pytest.raises(DomainError, match="restart"):
             pv.falsify(span, pv.FalsifierSettings(restarts=restarts))
 
-
-class TestFalsifierStep:
-    """The falsifier's step against the np.outer / np.linalg.norm reference kernels."""
-
-    @staticmethod
-    def both_ways(monkeypatch, span, settings):
-        fast = pv.falsify(span, settings)
-        with monkeypatch.context() as m:
-            m.setattr(pv, "_pair_objective", reference_pair_objective)
-            m.setattr(pv, "_retract", reference_retract)
-            ref = pv.falsify(span, settings)
-        return fast, ref
-
-    @staticmethod
-    def assert_same(fast, ref):
-        assert fast.residual == ref.residual
-        assert fast.restart == ref.restart
-        assert np.array_equal(fast.psi, ref.psi)
-        assert np.array_equal(fast.phi, ref.phi)
-
-    def test_criterion_10_panel_is_bit_identical(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        for case in range(50):
-            povm, _, _ = planted_witness_povm(3, rng)
-            span = pv.operator_span(povm)
-            fast, ref = self.both_ways(monkeypatch, span, pv.FalsifierSettings(rng_seed=case))
-            self.assert_same(fast, ref)
-
-    def test_codim2_search_is_bit_identical(self, monkeypatch):
-        span = pv.operator_span(codim2_povm())
-        fast, ref = self.both_ways(monkeypatch, span, pv.FalsifierSettings(restarts=16))
-        self.assert_same(fast, ref)
-        assert fast.residual > 1e-3
-
     @pytest.mark.parametrize("seed", [-1, -7])
     def test_negative_seed_rejected(self, seed):
         span = pv.operator_span(single_identity_povm(3))
         with pytest.raises(DomainError, match="non-negative"):
             pv.falsify(span, pv.FalsifierSettings(rng_seed=seed))
+
+    def test_codim2_has_no_witness(self):
+        # every unit element of the complement has eigenvalues +-1/2 twice, so g
+        # is constant on the sphere and each restart ends at its first step
+        span = pv.operator_span(codim2_povm())
+        result = pv.falsify(span, pv.FalsifierSettings(restarts=16))
+        assert result.residual > 1e-3
+
+    @pytest.mark.parametrize("d, c", [(4, 6), (8, 6), (15, 4), (15, 6)])
+    def test_planted_difference_among_random_directions(self, d, c):
+        povm, _, _ = planted_complement_povm(d, c, np.random.default_rng([d, c]))
+        verdict = pv.check_pic(povm)
+        assert (verdict.status, verdict.complement_dim) == (pv.NOT_PIC, c)
+        assert verdict.residual < 1e-12
+        assert pv.falsify(pv.operator_span(povm)).restart == 0
+        psi, phi = verdict.witness
+        assert abs(psi.conj() @ phi) < 1e-12
+        p1 = pv.born_probabilities(povm, np.outer(psi, psi.conj()))
+        p2 = pv.born_probabilities(povm, np.outer(phi, phi.conj()))
+        assert np.abs(p1 - p2).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_f20_rank1_witness_family(self, seed):
+        # the witnesses of these complements form families, not isolated points
+        povm = f20_rank1_povm(seed)
+        assert pv.validate(povm).passed
+        verdict = pv.check_pic(povm)
+        assert (verdict.status, verdict.complement_dim) == (pv.NOT_PIC, 6)
+        psi, phi = verdict.witness
+        p1 = pv.born_probabilities(povm, np.outer(psi, psi.conj()))
+        p2 = pv.born_probabilities(povm, np.outer(phi, phi.conj()))
+        assert np.abs(p1 - p2).max() < 1e-12
+
+    @pytest.mark.parametrize("c", [3, 4, 5, 6])
+    def test_generic_complement_has_no_witness(self, monkeypatch, c):
+        povm = random_complement_povm(5, c, 7 + c)
+        result = pv.falsify(pv.operator_span(povm), pv.FalsifierSettings(restarts=16))
+        assert result.residual > 1e-3
+        assert pv.check_pic(povm).status != pv.NOT_PIC
+        # ground truth: a larger cover certifies each of them (c = 6 takes about 1.1e5 centres)
+        monkeypatch.setattr(pv, "COVER_BUDGET", 200_000)
+        assert pv.check_pic(povm).status == pv.PIC_CERTIFIED
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_span_without_identity_searches_its_traceless_complement(self, extra):
+        # the complement is spanned by psi psi* + phi phi* (with extra, and chi chi*); its
+        # traceless part, {0} (with extra, the line through the rank-3 psi psi* + phi phi*
+        # - 2 chi chi*), holds no pure-state difference
+        q = haar_unitary(3, np.random.default_rng(19))
+        directions = [np.outer(q[:, 0], q[:, 0].conj()) + np.outer(q[:, 1], q[:, 1].conj())]
+        directions += [np.outer(q[:, 2], q[:, 2].conj())] * extra
+        span = linalg.orthogonal_complement(linalg.span_orthonormalize(directions))
+        result = pv.falsify(span)
+        assert result.residual > 1e-3
+        verdict = pv.check_pic(pv.Povm(3, enumerate(linalg.selfadjoint_basis(span)[0])))
+        assert (verdict.status, verdict.complement_dim) == (pv.PIC_CERTIFIED, 1 + extra)
 
 
 class TestCheckPic:
@@ -410,11 +433,7 @@ def planted_plus_direction_povm(d, rng):
 def random_complement_povm(d, c, seed):
     """Observable whose complement is spanned by c random traceless Hermitian operators."""
     rng = np.random.default_rng(seed)
-    directions = []
-    for _ in range(c):
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = z + z.conj().T
-        directions.append(h - np.trace(h) / d * np.eye(d))
+    directions = [random_traceless(d, rng) for _ in range(c)]
     span = linalg.orthogonal_complement(linalg.span_orthonormalize(directions))
     return povm_with_span(d, selfadjoint_basis(span))
 
@@ -430,7 +449,11 @@ NOT_CERTIFIED = {
 
 
 class TestCover:
-    """The Lipschitz cover of the complement's unit sphere, and what it leaves to the falsifier."""
+    """The Lipschitz cover of the complement's unit sphere, and what it leaves to the falsifier.
+
+    ``check_pic`` hands the complement basis it covered to the falsifier's
+    search, ``_search``; ``falsify`` recomputes that basis from the span.
+    """
 
     @pytest.mark.parametrize("name, comp_dim", [
         ("cond1", 2), ("cond2", 5), ("planted-extra-d3", 2), ("planted-extra-d4", 2),
@@ -440,9 +463,9 @@ class TestCover:
         povm = NOT_CERTIFIED[name]()
         span = pv.operator_span(povm)
         settings = pv.FalsifierSettings(restarts=8, rng_seed=3)
-        falsify, seen = pv.falsify, []
+        search, seen = pv._search, []
         with monkeypatch.context() as m:
-            m.setattr(pv, "falsify", lambda *args: seen.append(falsify(*args)) or seen[-1])
+            m.setattr(pv, "_search", lambda *args: seen.append(search(*args)) or seen[-1])
             verdict = pv.check_pic(povm, settings)
         direct = pv.falsify(span, settings)
         assert verdict.complement_dim == comp_dim
@@ -503,10 +526,10 @@ class TestCover:
         v = haar_unitary(2, np.random.default_rng(2))[:, 0]
         povm = pv.Povm(2, enumerate(effects(np.outer(v, v.conj()))))
 
-        def no_falsify(*args):
+        def no_search(*args):
             raise AssertionError("the falsifier ran")
 
-        monkeypatch.setattr(pv, "falsify", no_falsify)
+        monkeypatch.setattr(pv, "_search", no_search)
         verdict = pv.check_pic(povm)
         assert (verdict.status, verdict.complement_dim) == (pv.NOT_PIC, comp_dim)
         assert verdict.residual < 1e-12
