@@ -1,23 +1,24 @@
-"""Dense complex matrix kernel.
+"""Hilbert-Schmidt kernel for Hermitian operators.
 
-Matrices are plain ``numpy.ndarray`` with complex entries.  Operators on a
-d-dimensional Hilbert space live in the d*d matrix space equipped with the
-Hilbert-Schmidt inner product ``<A, B> = tr(A^dag B)``, conjugate-linear in
-the first argument.  Subspaces of that operator space are carried around as
-HS-orthonormal bases (:class:`OperatorSubspace`) stored as one ``(k, d, d)``
-array, so coordinates and projections are single matrix products.  Every rank
-decision, spans included, counts singular values with one rule (:func:`_rank`);
-spans come from the SVD of the stacked operators, not from their Gram matrix.
-Complex arrays cross JSON as nested ``[re, im]`` pairs through one codec.
+Matrices are plain ``numpy.ndarray`` with complex entries, and carry the
+Hilbert-Schmidt inner product ``<A, B> = tr(A^dag B)``.  Every operator
+subspace the package builds is spanned by Hermitian effects, so
+:class:`OperatorSubspace` holds one ``(k, d, d)`` HS-orthonormal basis of
+Hermitian matrices, and its real coordinates in Herm(d) ~ R^(d*d): the
+diagonal, then sqrt(2) Re and sqrt(2) Im of the upper triangle, whose dot
+product is the HS inner product.  A span and its complement are each one real
+SVD of such coordinates, cut by the one rank rule (:func:`_rank`).  Complex
+arrays cross JSON as nested ``[re, im]`` pairs through one codec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .errors import DomainError, InconsistencyError, ShapeError
+from .errors import DomainError, ShapeError
 
 # The tolerance policy of the package; no other module carries a threshold.
 #
@@ -43,7 +44,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
     return m
 
@@ -145,12 +146,39 @@ def numerical_rank(a) -> int:
     return _rank(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False))
 
 
+@cache
+def _herm_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float positions of Herm(d)'s coordinates in a flattened d x d matrix, and their scales."""
+    i, j = np.triu_indices(d, 1)
+    pos = np.concatenate([2 * (d + 1) * np.arange(d), 2 * (i * d + j), 2 * (i * d + j) + 1])
+    scale = np.repeat([1.0, np.sqrt(2)], [d, d * d - d])
+    pos.setflags(write=False)
+    scale.setflags(write=False)
+    return pos, scale
+
+
+def _coordinates(ops: np.ndarray, what: str) -> np.ndarray:
+    """Real (n, d*d) coordinates of a contiguous (n, d, d) stack; DomainError unless Hermitian."""
+    n, d, _ = ops.shape
+    skew = (ops - ops.conj().transpose(0, 2, 1)).view(float).reshape(n, 2 * d * d)
+    defect = np.sqrt((skew * skew).sum(axis=1).max(initial=0.0))
+    if defect > ATOL:
+        raise DomainError(f"{what} is not Hermitian (defect {defect:.3e})")
+    pos, scale = _herm_table(d)
+    return ops.view(float).reshape(n, 2 * d * d)[:, pos] * scale
+
+
+def _operators(coords: np.ndarray, d: int) -> np.ndarray:
+    """The (n, d, d) matrices with the given coordinates, as U + U^dag: exactly Hermitian."""
+    pos, scale = _herm_table(d)
+    upper = np.zeros((len(coords), d, d), dtype=complex)
+    upper.view(float).reshape(len(coords), 2 * d * d)[:, pos] = coords * (scale / 2)
+    return upper + upper.conj().transpose(0, 2, 1)
+
+
 @dataclass(frozen=True)
 class OperatorSubspace:
-    """Subspace of the d*d operator space, held as a (k, d, d) HS-orthonormal basis.
-
-    ``_flat`` is the same basis as a (k, d*d) view, kept from construction on.
-    """
+    """Span of Hermitian operators: a (k, d, d) HS-orthonormal basis and its ``_coords``."""
 
     dim_h: int
     basis: np.ndarray = field(default_factory=list)
@@ -163,10 +191,10 @@ class OperatorSubspace:
         if basis.ndim != 3 or basis.shape[1:] != (d, d):
             raise ShapeError(f"basis of shape {basis.shape} in dimension {d}")
         basis = np.ascontiguousarray(basis)
-        flat = basis.reshape(len(basis), d * d)
+        coords = _coordinates(basis, "basis")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_flat", flat)
-        if np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max(initial=0.0) > PHASE_ATOL:
+        object.__setattr__(self, "_coords", coords)
+        if np.abs(coords @ coords.T - np.eye(len(coords))).max(initial=0.0) > PHASE_ATOL:
             raise DomainError("basis is not HS-orthonormal")
 
     @property
@@ -178,37 +206,11 @@ class OperatorSubspace:
         m = np.asarray(m)
         if m.shape != (self.dim_h, self.dim_h):
             raise ShapeError(f"expected a {self.dim_h}x{self.dim_h} matrix, got {m.shape}")
-        return self._flat.conj() @ m.reshape(-1)
+        return np.tensordot(self.basis.conj(), m, 2)
 
     def project(self, m) -> np.ndarray:
         """Orthogonal projection of m onto the subspace."""
-        return (self.coefficients(m) @ self._flat).reshape(self.dim_h, self.dim_h)
-
-
-def selfadjoint_basis(space: OperatorSubspace) -> tuple[np.ndarray, float]:
-    """HS-orthonormal selfadjoint basis of a subspace closed under the adjoint.
-
-    The Hermitian and anti-Hermitian parts of the basis elements span the
-    subspace's selfadjoint operators over the reals.  As real vectors (a
-    complex array viewed as its float pairs, whose dot product is the real HS
-    inner product) their SVD gives the basis, counted by the rank rule; a
-    subspace closed under the adjoint has exactly ``space.dim`` of them.
-    Returns the ``(k, d, d)`` basis and the HS norm of G - I for its Gram
-    matrix G, which bounds the spectral norm, so that
-    ||sum_k x_k C_k||_HS <= sqrt(1 + defect) |x|.
-    """
-    d, k = space.dim_h, space.dim
-    b, adj = space.basis, space.basis.conj().transpose(0, 2, 1)
-    parts = np.concatenate([b + adj, 1j * (b - adj)])
-    _, s, vh = np.linalg.svd(parts.view(float).reshape(2 * k, 2 * d * d), full_matrices=False)
-    r = _rank(s)
-    if r != k:
-        raise InconsistencyError(
-            f"{r} selfadjoint directions in a subspace of dimension {k}: "
-            "not closed under the adjoint"
-        )
-    basis = np.ascontiguousarray(vh[:r])
-    return basis.view(complex).reshape(r, d, d), hs_norm(basis @ basis.T - np.eye(r))
+        return np.tensordot(self.coefficients(m), self.basis, 1)
 
 
 def sigma3(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -227,10 +229,10 @@ def sigma3(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def span_orthonormalize(mats) -> OperatorSubspace:
-    """HS-orthonormal basis of the span of the given matrices.
+    """HS-orthonormal basis of the span of the given Hermitian matrices.
 
-    The right singular vectors of the stacked, flattened matrices that pass
-    the rank rule form the basis; the rest are roundoff directions.
+    The right singular vectors of their real coordinates that pass the rank rule form the
+    basis.  The Gram matrix tr(A_i A_j) is the coordinates', so the cut is the stacked matrices'.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
@@ -238,14 +240,11 @@ def span_orthonormalize(mats) -> OperatorSubspace:
     d = require_square(mats[0])
     if any(m.shape != (d, d) for m in mats):
         raise ShapeError("matrices in a span must share one square shape")
-    _, s, vh = np.linalg.svd(np.reshape(mats, (len(mats), d * d)), full_matrices=False)
-    r = _rank(s)
-    return OperatorSubspace(d, vh[:r].reshape(r, d, d))
+    _, s, vh = np.linalg.svd(_coordinates(np.array(mats), "family"), full_matrices=False)
+    return OperatorSubspace(d, _operators(vh[:_rank(s)], d))
 
 
 def orthogonal_complement(s: OperatorSubspace) -> OperatorSubspace:
-    """HS-orthogonal complement, so that dim(s) + dim(result) = d^2."""
-    d = s.dim_h
-    # right singular vectors past the first k are HS-orthogonal to the basis
-    _, _, vh = np.linalg.svd(s._flat, full_matrices=True)
-    return OperatorSubspace(d, vh[s.dim:].reshape(d * d - s.dim, d, d))
+    """HS-orthogonal complement, so that dim(s) + dim(result) = d^2, from s's coordinates."""
+    _, _, vh = np.linalg.svd(s._coords, full_matrices=True)
+    return OperatorSubspace(s.dim_h, _operators(vh[s.dim:], s.dim_h))

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, NotAnObservableError
 from .linalg import (
     ATOL, ZERO_ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex, hs_norm,
-    orthogonal_complement, psd_defects, require_psd, selfadjoint_basis, sigma3, span_orthonormalize,
+    orthogonal_complement, psd_defects, require_psd, sigma3, span_orthonormalize,
 )
 
 if TYPE_CHECKING:  # annotations only; rep and group load on first use
@@ -276,12 +276,13 @@ class PicVerdict:
 
 
 def _complement_basis(span: OperatorSubspace) -> tuple[np.ndarray, float]:
-    """Selfadjoint basis of the span's traceless complement, and its Gram defect.
+    """Hermitian basis of the span's traceless complement, and |G - I|_HS for its Gram matrix G.
 
     Pure-state differences are traceless.  An observable's span holds I, so its
     complement is; otherwise I's projection is rotated out, keeping the basis orthonormal.
     """
-    basis, gram_defect = selfadjoint_basis(orthogonal_complement(span))
+    basis = orthogonal_complement(span).basis
+    gram_defect = hs_norm(np.einsum("iab,jab->ij", basis.conj(), basis).real - np.eye(len(basis)))
     trace = np.einsum("kii->k", basis).real
     if math.sqrt(trace @ trace) > ATOL:
         basis = np.einsum("jk,kab->jab", np.linalg.svd(trace[None])[2][1:], basis)

@@ -146,7 +146,7 @@ def planted_complement_povm(dim, comp_dim, rng):
     directions = [np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())]
     directions += [random_traceless(dim, rng) for _ in range(comp_dim - 1)]
     span = linalg.orthogonal_complement(linalg.span_orthonormalize(directions))
-    return povm_with_span(dim, linalg.selfadjoint_basis(span)[0]), psi, phi
+    return povm_with_span(dim, span.basis), psi, phi
 
 
 def f20_rank1_povm(seed):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covpovm import linalg
-from covpovm.errors import DomainError, InconsistencyError, ShapeError
+from covpovm.errors import DomainError, ShapeError
 
 from support import haar_unitary
 
@@ -130,6 +130,14 @@ class TestSpanOrthonormalize:
         with pytest.raises(ShapeError):
             linalg.span_orthonormalize([I2, np.eye(3)])
 
+    def test_non_hermitian_family_or_basis_rejected(self):
+        e01 = np.zeros((2, 2), dtype=complex)
+        e01[0, 1] = 1.0
+        with pytest.raises(DomainError, match="Hermitian"):
+            linalg.span_orthonormalize([e01])
+        with pytest.raises(DomainError, match="Hermitian"):
+            linalg.OperatorSubspace(2, [e01])
+
 
 class TestOneRankRule:
     """span_orthonormalize and numerical_rank of the stacked operators agree."""
@@ -156,6 +164,11 @@ class TestOneRankRule:
         for eps in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
             mats = self.near_dependent_family(eps, rng)
             assert linalg.span_orthonormalize(mats).dim == self.stacked_rank(mats)
+            # the span cuts the singular values of the real coordinates, and they are
+            # those of the stacked complex matrices that numerical_rank cuts
+            real = np.linalg.svd(linalg._coordinates(np.array(mats), "family"), compute_uv=False)
+            stacked = np.linalg.svd(np.reshape(mats, (len(mats), -1)), compute_uv=False)
+            assert np.abs(real - stacked).max() <= 1e-12 * stacked[0]
 
     def test_random_low_rank_families(self):
         rng = np.random.default_rng(41)
@@ -164,7 +177,7 @@ class TestOneRankRule:
             r = int(rng.integers(1, d * d + 1))
             gens = [random_hermitian(d, rng) * 10.0 ** rng.uniform(-3, 3) for _ in range(r)]
             n = int(rng.integers(r, d * d + 3))
-            coef = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            coef = rng.standard_normal((n, r))
             mats = list(np.einsum("nr,rij->nij", coef, np.array(gens)))
             assert linalg.span_orthonormalize(mats).dim == self.stacked_rank(mats) == r
 
@@ -241,6 +254,19 @@ class TestOrthogonalComplement:
             comp = linalg.orthogonal_complement(s)
             assert s.dim + comp.dim == d * d
 
+    def test_bases_are_hermitian_orthonormal_and_complementary(self):
+        rng = np.random.default_rng(31)
+        for d, k in ((3, 2), (4, 5)):
+            span = linalg.span_orthonormalize([random_hermitian(d, rng) for _ in range(k)])
+            comp = linalg.orthogonal_complement(span)
+            assert (span.dim, comp.dim) == (k, d * d - k)
+            for s in (span, comp):
+                assert np.array_equal(s.basis, s.basis.conj().transpose(0, 2, 1))
+                flat = s.basis.reshape(s.dim, -1)
+                assert np.abs(flat.conj() @ flat.T - np.eye(s.dim)).max() < 1e-12
+            for b in comp.basis:
+                assert linalg.hs_norm(span.project(b)) < 1e-12
+
     def test_project_then_complement_vanishes(self):
         rng = np.random.default_rng(23)
         mats = [random_hermitian(3, rng) for _ in range(4)]
@@ -249,36 +275,6 @@ class TestOrthogonalComplement:
         for _ in range(10):
             m = random_hermitian(3, rng)
             assert linalg.hs_norm(comp.project(s.project(m))) < 1e-9
-
-
-class TestSelfadjointBasis:
-    def test_orthonormal_hermitian_and_spanning(self):
-        rng = np.random.default_rng(31)
-        for d, k in ((3, 2), (4, 5)):
-            space = linalg.span_orthonormalize([random_hermitian(d, rng) for _ in range(k)])
-            basis, defect = linalg.selfadjoint_basis(space)
-            assert basis.shape == (k, d, d)
-            assert np.abs(basis - basis.conj().transpose(0, 2, 1)).max() < 1e-12
-            flat = basis.reshape(k, -1)
-            assert np.abs(flat.conj() @ flat.T - np.eye(k)).max() <= defect + 1e-15
-            assert defect < 1e-12
-            for b in basis:
-                assert linalg.hs_norm(b - space.project(b)) < 1e-12
-
-    def test_complex_basis_of_a_closed_space(self):
-        # E_01 and E_10 span the same space as the two off-diagonal Paulis
-        e01 = np.zeros((2, 2), dtype=complex)
-        e01[0, 1] = 1.0
-        basis, _ = linalg.selfadjoint_basis(linalg.span_orthonormalize([e01, e01.T]))
-        assert len(basis) == 2
-        for b in basis:
-            assert abs(np.trace(b @ S3)) < 1e-12 and abs(np.trace(b)) < 1e-12
-
-    def test_space_not_closed_under_the_adjoint_rejected(self):
-        e01 = np.zeros((2, 2), dtype=complex)
-        e01[0, 1] = 1.0
-        with pytest.raises(InconsistencyError, match="adjoint"):
-            linalg.selfadjoint_basis(linalg.span_orthonormalize([e01]))
 
 
 class TestSigma3:

@@ -332,7 +332,7 @@ class TestFalsifier:
         span = linalg.orthogonal_complement(linalg.span_orthonormalize(directions))
         result = pv.falsify(span)
         assert result.residual > 1e-3
-        verdict = pv.check_pic(pv.Povm(3, enumerate(linalg.selfadjoint_basis(span)[0])))
+        verdict = pv.check_pic(pv.Povm(3, enumerate(span.basis)))
         assert (verdict.status, verdict.complement_dim) == (pv.PIC_CERTIFIED, 1 + extra)
 
 
@@ -455,9 +455,25 @@ class TestCover:
     search, ``_search``; ``falsify`` recomputes that basis from the span.
     """
 
+    @pytest.mark.parametrize("name, comp_dim", [("cond1", 2), ("cond2", 5)])
+    def test_rank_two_basis_element_is_a_witness_at_the_first_level(self, monkeypatch, name,
+                                                                    comp_dim):
+        # the complement's basis holds an element of rank 2 (cond1's second, cond2's first),
+        # a centre of the cover's first level, so sigma_3 vanishes there
+        povm = NOT_CERTIFIED[name]()
+
+        def no_search(*args):
+            raise AssertionError("the falsifier ran")
+
+        monkeypatch.setattr(pv, "_search", no_search)
+        verdict = pv.check_pic(povm)
+        assert (verdict.status, verdict.complement_dim) == (pv.NOT_PIC, comp_dim)
+        assert verdict.residual < 1e-12 and verdict.certificate is None
+        p1, p2 = (pv.born_probabilities(povm, np.outer(v, v.conj())) for v in verdict.witness)
+        assert np.abs(p1 - p2).max() < 1e-12
+
     @pytest.mark.parametrize("name, comp_dim", [
-        ("cond1", 2), ("cond2", 5), ("planted-extra-d3", 2), ("planted-extra-d4", 2),
-        ("identity-d3", 8),
+        ("planted-extra-d3", 2), ("planted-extra-d4", 2), ("identity-d3", 8),
     ])
     def test_low_rank_complements_go_to_the_untouched_falsifier(self, monkeypatch, name, comp_dim):
         povm = NOT_CERTIFIED[name]()
@@ -498,7 +514,7 @@ class TestCover:
         span = pv.operator_span(povm)
         verdict = pv.check_pic(povm)
         assert verdict.status == pv.PIC_CERTIFIED
-        basis, _ = linalg.selfadjoint_basis(linalg.orthogonal_complement(span))
+        basis = pv._complement_basis(span)[0]
         x = np.random.default_rng(17).standard_normal((10 ** 4, len(basis)))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         h = np.einsum("nk,kij->nij", x, basis)
