@@ -4,11 +4,11 @@ Matrices are plain ``numpy.ndarray`` with complex entries, and carry the
 Hilbert-Schmidt inner product ``<A, B> = tr(A^dag B)``.  Every operator
 subspace the package builds is spanned by Hermitian effects, so
 :class:`OperatorSubspace` holds one ``(k, d, d)`` HS-orthonormal basis of
-Hermitian matrices, and its real coordinates in Herm(d) ~ R^(d*d): the
-diagonal, then sqrt(2) Re and sqrt(2) Im of the upper triangle, whose dot
-product is the HS inner product.  A span and its complement are each one real
-SVD of such coordinates, cut by the one rank rule (:func:`_rank`).  Complex
-arrays cross JSON as nested ``[re, im]`` pairs through one codec.
+Hermitian matrices and a real orthogonal frame of Herm(d) ~ R^(d*d), whose
+coordinates are the diagonal, then sqrt(2) Re and sqrt(2) Im of the upper
+triangle: their dot product is the HS inner product.  A span and its complement
+are one real SVD of such coordinates, whose square V factor the one rank rule
+(:func:`_rank`) cuts.  Complex arrays cross JSON as ``[re, im]`` pairs.
 """
 
 from __future__ import annotations
@@ -176,14 +176,27 @@ def _operators(coords: np.ndarray, d: int) -> np.ndarray:
     return upper + upper.conj().transpose(0, 2, 1)
 
 
+def _orthonormal(frame: np.ndarray) -> np.ndarray:
+    if np.abs(frame @ frame.T - np.eye(len(frame))).max(initial=0.0) > PHASE_ATOL:
+        raise DomainError("basis is not HS-orthonormal")
+    return frame
+
+
 @dataclass(frozen=True)
 class OperatorSubspace:
-    """Span of Hermitian operators: a (k, d, d) HS-orthonormal basis and its ``_coords``."""
+    """Span of Hermitian operators: a (k, d, d) HS-orthonormal basis and its real ``_frame``.
+
+    The (d*d, d*d) orthogonal frame's first k rows are the basis' coordinates and the rest
+    span the complement.  A given basis is checked and completed by one SVD; a frame is not.
+    """
 
     dim_h: int
     basis: np.ndarray = field(default_factory=list)
+    _frame: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
+        if self._frame is not None:
+            return
         d = self.dim_h
         basis = np.asarray(self.basis, dtype=complex)
         if basis.size == 0:
@@ -192,10 +205,9 @@ class OperatorSubspace:
             raise ShapeError(f"basis of shape {basis.shape} in dimension {d}")
         basis = np.ascontiguousarray(basis)
         coords = _coordinates(basis, "basis")
+        frame = np.concatenate([coords, np.linalg.svd(coords)[2][len(coords):]])
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_coords", coords)
-        if np.abs(coords @ coords.T - np.eye(len(coords))).max(initial=0.0) > PHASE_ATOL:
-            raise DomainError("basis is not HS-orthonormal")
+        object.__setattr__(self, "_frame", _orthonormal(frame))
 
     @property
     def dim(self) -> int:
@@ -232,19 +244,24 @@ def span_orthonormalize(mats) -> OperatorSubspace:
     """HS-orthonormal basis of the span of the given Hermitian matrices.
 
     The right singular vectors of their real coordinates that pass the rank rule form the
-    basis.  The Gram matrix tr(A_i A_j) is the coordinates', so the cut is the stacked matrices'.
+    basis, the others its complement's.  The coordinates' Gram matrix is tr(A_i A_j).
     """
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
+    try:
+        mats = np.ascontiguousarray(mats, dtype=complex)
+    except ValueError as exc:  # ragged nesting
+        raise ShapeError("matrices in a span must share one square shape") from exc
+    if not len(mats):
         raise DomainError("cannot take the span of an empty family")
-    d = require_square(mats[0])
-    if any(m.shape != (d, d) for m in mats):
-        raise ShapeError("matrices in a span must share one square shape")
-    _, s, vh = np.linalg.svd(_coordinates(np.array(mats), "family"), full_matrices=False)
-    return OperatorSubspace(d, _operators(vh[:_rank(s)], d))
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ShapeError(f"matrices in a span must share one square shape, got {mats.shape}")
+    if not np.isfinite(mats).all():
+        raise DomainError("family has non-finite entries")
+    d = mats.shape[1]
+    _, s, vh = np.linalg.svd(_coordinates(mats, "family"), full_matrices=len(mats) < d * d)
+    return OperatorSubspace(d, _operators(vh[:_rank(s)], d), _frame=_orthonormal(vh))
 
 
 def orthogonal_complement(s: OperatorSubspace) -> OperatorSubspace:
-    """HS-orthogonal complement, so that dim(s) + dim(result) = d^2, from s's coordinates."""
-    _, _, vh = np.linalg.svd(s._coords, full_matrices=True)
-    return OperatorSubspace(s.dim_h, _operators(vh[s.dim:], s.dim_h))
+    """HS-orthogonal complement, so that dim(s) + dim(result) = d^2: s's frame, blocks swapped."""
+    frame = np.concatenate([s._frame[s.dim:], s._frame[:s.dim]])
+    return OperatorSubspace(s.dim_h, _operators(frame[:len(frame) - s.dim], s.dim_h), _frame=frame)

@@ -55,11 +55,14 @@ class Povm:
         pairs = list(outcomes)
         self.dim = dim
         self.labels = [str(label) for label, _ in pairs]
-        ops = [np.asarray(op, dtype=complex) for _, op in pairs]
-        for label, op in zip(self.labels, ops):
-            if op.shape != (dim, dim):
-                raise DomainError(f"outcome {label!r} has shape {op.shape}")
-        self.ops = np.array(ops, dtype=complex).reshape(len(ops), dim, dim)
+        try:
+            self.ops = np.array([op for _, op in pairs] or np.zeros((0, dim, dim)), dtype=complex)
+        except ValueError:  # outcomes of different shapes, named below
+            self.ops = np.zeros(0)
+        if self.ops.shape != (len(pairs), dim, dim):
+            for label, (_, op) in zip(self.labels, pairs):
+                if np.asarray(op, dtype=complex).shape != (dim, dim):
+                    raise DomainError(f"outcome {label!r} has shape {np.shape(op)}")
         finite = np.isfinite(self.ops).all(axis=(1, 2))
         if not finite.all():
             raise DomainError(f"outcome {self.labels[np.argmin(finite)]!r} has non-finite entries")

@@ -130,6 +130,25 @@ class TestSpanOrthonormalize:
         with pytest.raises(ShapeError):
             linalg.span_orthonormalize([I2, np.eye(3)])
 
+    def test_invalid_families_rejected(self):
+        with pytest.raises(DomainError, match="empty"):
+            linalg.span_orthonormalize([])
+        with pytest.raises(ShapeError):
+            linalg.span_orthonormalize([np.ones((2, 3))])
+        with pytest.raises(ShapeError):
+            linalg.span_orthonormalize([np.ones(4)])
+        with pytest.raises(DomainError, match="non-finite"):
+            linalg.span_orthonormalize([I2, np.diag([1.0, np.nan])])
+
+    def test_list_and_stack_give_identical_bases(self):
+        rng = np.random.default_rng(47)
+        for d, m in ((2, 3), (3, 9), (3, 12)):
+            mats = [random_hermitian(d, rng) for _ in range(m)]
+            listed = linalg.span_orthonormalize(mats)
+            stacked = linalg.span_orthonormalize(np.array(mats))
+            assert np.array_equal(listed.basis, stacked.basis)
+            assert np.array_equal(listed._frame, stacked._frame)
+
     def test_non_hermitian_family_or_basis_rejected(self):
         e01 = np.zeros((2, 2), dtype=complex)
         e01[0, 1] = 1.0
@@ -266,6 +285,50 @@ class TestOrthogonalComplement:
                 assert np.abs(flat.conj() @ flat.T - np.eye(s.dim)).max() < 1e-12
             for b in comp.basis:
                 assert linalg.hs_norm(span.project(b)) < 1e-12
+
+    @staticmethod
+    def projector(s):
+        # the orthogonal projector onto the complex span of s's basis, as a d^2 x d^2 matrix
+        flat = s.basis.reshape(s.dim, s.dim_h ** 2)
+        return flat.T @ flat.conj()
+
+    @pytest.mark.parametrize("d, m, r", [
+        (3, 4, 4), (4, 10, 6), (3, 9, 9), (3, 9, 5), (3, 12, 9), (3, 12, 7),
+    ], ids=["m<d2", "m<d2-deficient", "m=d2", "m=d2-deficient", "m>d2", "m>d2-deficient"])
+    def test_complement_matches_an_independent_projector(self, d, m, r):
+        # m operators of rank r as a family; the reference projector comes from numpy's
+        # complex SVD of the stacked family, not from the span's frame
+        rng = np.random.default_rng(53 + m + r)
+        gens = np.array([random_hermitian(d, rng) for _ in range(r)])
+        mats = np.einsum("mr,rij->mij", rng.standard_normal((m, r)), gens)
+        _, sv, vh = np.linalg.svd(mats.reshape(m, -1))
+        rank = int(np.sum(sv > 1e-9 * sv[0]))
+        span_ref = vh[:rank].T @ vh[:rank].conj()
+        span = linalg.span_orthonormalize(mats)
+        comp = linalg.orthogonal_complement(span)
+        assert (span.dim, comp.dim) == (rank, d * d - rank) == (r, d * d - r)
+        assert np.abs(self.projector(span) - span_ref).max() < 1e-12
+        assert np.abs(self.projector(comp) - (np.eye(d * d) - span_ref)).max() < 1e-12
+
+    def test_complement_twice_is_the_span(self):
+        rng = np.random.default_rng(59)
+        for d, k in ((2, 1), (3, 5), (4, 16)):
+            span = linalg.span_orthonormalize([random_hermitian(d, rng) for _ in range(k)])
+            again = linalg.orthogonal_complement(linalg.orthogonal_complement(span))
+            assert again.dim == span.dim
+            assert np.abs(self.projector(again) - self.projector(span)).max(initial=0.0) < 1e-12
+
+    def test_complement_of_a_built_subspace(self):
+        s = linalg.OperatorSubspace(2, [I2 / np.sqrt(2), S1 / np.sqrt(2)])
+        comp = linalg.orthogonal_complement(s)
+        ref = linalg.OperatorSubspace(2, [S2 / np.sqrt(2), S3 / np.sqrt(2)])
+        assert comp.dim == 2
+        assert np.abs(self.projector(comp) - self.projector(ref)).max() < 1e-12
+        again = linalg.orthogonal_complement(comp)
+        assert np.abs(self.projector(again) - self.projector(s)).max() < 1e-12
+        empty = linalg.orthogonal_complement(linalg.OperatorSubspace(3))
+        assert empty.dim == 9
+        assert np.abs(self.projector(empty) - np.eye(9)).max() < 1e-12
 
     def test_project_then_complement_vanishes(self):
         rng = np.random.default_rng(23)

@@ -83,6 +83,17 @@ class TestValidate:
         assert report.normalization_defect == pytest.approx(0.01 * np.sqrt(3), rel=1e-6)
 
 
+    def test_constructor_names_the_first_bad_outcome(self):
+        with pytest.raises(DomainError, match="outcome 'b' has shape \\(3, 3\\)"):
+            pv.Povm(2, [("a", np.eye(2)), ("b", np.eye(3)), ("c", np.ones(4))])
+        with pytest.raises(DomainError, match="outcome 'a' has shape \\(3, 3\\)"):
+            pv.Povm(2, [("a", np.eye(3)), ("b", np.eye(3))])
+        with pytest.raises(DomainError, match="outcome 'b' has non-finite"):
+            pv.Povm(2, [("a", np.eye(2)), ("b", np.diag([1, np.inf])), ("c", np.diag([np.nan, 1]))])
+        empty = pv.Povm(2, [])
+        assert empty.ops.shape == (0, 2, 2) and empty.ops.dtype == complex
+
+
 class TestSpanAndIc:
     def test_single_identity_span(self):
         assert pv.operator_span(single_identity_povm(2)).dim == 1
@@ -412,6 +423,25 @@ class TestCheckPic:
             "method": "lipschitz-cover", "points": 6,
             "min_sigma3": pytest.approx(0.5, abs=1e-12), "eig_error_bound": linalg.ZERO_ATOL,
         }
+
+    def test_one_svd_and_no_per_effect_coercion(self, monkeypatch):
+        # span and complement come from one real SVD of the effects' coordinates
+        povm, calls = codim2_povm(), {"svd": 0, "as_matrix": 0}
+        svd, as_matrix = np.linalg.svd, linalg.as_matrix
+
+        def counted_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def counted_as_matrix(a):
+            calls["as_matrix"] += 1
+            return as_matrix(a)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(linalg, "as_matrix", counted_as_matrix)
+        monkeypatch.setattr(pv, "as_matrix", counted_as_matrix)
+        assert pv.check_pic(povm).status == pv.PIC_CERTIFIED
+        assert calls == {"svd": 1, "as_matrix": 0}
 
     def test_witness_states_are_ray_distinct(self):
         verdict = pv.check_pic(single_identity_povm(3))
