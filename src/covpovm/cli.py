@@ -133,15 +133,12 @@ def _cmd_construct(args) -> int:
     elif args.kind in ("quat3", "dihedral3"):
         choice = "quaternion" if args.kind == "quat3" else "dihedral"
         params = cx.default_pic3_params(choice)
-        if args.lam is not None:
-            params.lam = args.lam
         if args.alpha is not None:
             params.alpha = tuple(_parse_floats(args.alpha, 3, "--alpha"))
         if args.v is not None:
             parts = _parse_floats(args.v, 4, "--v")
             params.v = tuple(decode_complex([parts[:2], parts[2:]], "--v"))
         inputs.update(
-            lam=params.lam,
             alpha=list(params.alpha),
             v=encode_complex(params.v),
             bypass_conditions=args.bypass_conditions,
@@ -349,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rng-seed", type=int, default=0)
     c.add_argument("--mixed", action="store_true",
                    help="use the maximally mixed seed (wh only; not IC)")
-    c.add_argument("--lambda", dest="lam", type=_finite_float, default=None,
-                   help="scale of the complement generator (quat3/dihedral3)")
     c.add_argument("--alpha", default=None, help="comma-separated alpha components")
     c.add_argument("--v", default=None, help="v as re1,im1,re2,im2 (quat3/dihedral3)")
     c.add_argument("--gamma", type=_finite_float, default=0.0, help="phase (rank1 only)")

@@ -189,26 +189,36 @@ def default_wh_seed(d: int, rng_seed: int) -> np.ndarray:
 class Pic3Params:
     """Parameters of the 8-outcome dimension-3 construction.
 
-    The seed is (1/8) id + sum_i alpha_i diag(0, sigma_i) + arrow(v); the
-    scale ``lam`` only fixes the complement generator T = diag(2 lam, -lam,
-    -lam), whose line is all that matters.
+    The seed is (1/8) id + sum_i alpha_i diag(0, sigma_i) + arrow(v).  The
+    effect span is decided by the line of the complement generator
+    T = diag(2, -1, -1), so T carries no parameter.
     """
 
-    lam: float = 1.0
     alpha: tuple = (1 / 32, 1 / 32, 1 / 32)
     v: tuple = (1 / 32 + 0j, 0j)
     group_choice: str = "quaternion"
 
 
-def default_pic3_params(group_choice: str = "quaternion") -> Pic3Params:
-    if group_choice == "quaternion":
-        return Pic3Params(group_choice="quaternion")
-    if group_choice == "dihedral":
-        # second component deliberately nonzero: the dihedral intertwiner is
-        # sigma_3, and v with Re(v1 conj(v2)) = 0 fails to generate the
-        # off-diagonal blocks even when |v1| != |v2|
-        return Pic3Params(v=(1 / 32 + 0j, 1 / 64 + 0j), group_choice="dihedral")
-    raise DomainError(f"unknown group choice {group_choice!r}")
+# group choice -> (group builder, 2x2 blocks pi(g), default v)
+_PIC3_GROUPS = {
+    "quaternion": (grp.quaternion_group, grp.QUATERNION_MATRICES, (1 / 32 + 0j, 0j)),
+    # second component deliberately nonzero: the dihedral intertwiner is
+    # sigma_3, and v with Re(v1 conj(v2)) = 0 fails to generate the
+    # off-diagonal blocks even when |v1| != |v2|
+    "dihedral": (grp.dihedral8_group, grp.DIHEDRAL8_MATRICES, (1 / 32 + 0j, 1 / 64 + 0j)),
+}
+
+
+def _pic3_group(group_choice: str) -> tuple:
+    try:
+        return _PIC3_GROUPS[group_choice]
+    except (KeyError, TypeError):  # TypeError: an unhashable choice
+        raise DomainError(f"unknown group choice {group_choice!r}") from None
+
+
+def default_pic3_params(group_choice: str) -> Pic3Params:
+    _, _, v = _pic3_group(group_choice)
+    return Pic3Params(v=v, group_choice=group_choice)
 
 
 def pic3_seed_matrix(params: Pic3Params) -> np.ndarray:
@@ -223,20 +233,15 @@ def pic3_seed_matrix(params: Pic3Params) -> np.ndarray:
     return m
 
 
-def t_operator(lam: float = 1.0) -> np.ndarray:
-    return np.diag([2 * lam, -lam, -lam]).astype(complex)
+def t_operator() -> np.ndarray:
+    """The complement generator T = diag(2, -1, -1) of the dimension-3 observables."""
+    return np.diag([2.0, -1.0, -1.0]).astype(complex)
 
 
 def pic3_rep(group_choice: str) -> rp.ProjectiveRep:
     """Block representation g -> diag(1, pi(g)) on C^3."""
-    if group_choice == "quaternion":
-        g = grp.quaternion_group()
-        blocks = grp.QUATERNION_MATRICES
-    elif group_choice == "dihedral":
-        g = grp.dihedral8_group()
-        blocks = grp.DIHEDRAL8_MATRICES
-    else:
-        raise DomainError(f"unknown group choice {group_choice!r}")
+    build_group, blocks, _ = _pic3_group(group_choice)
+    g = build_group()
     u = np.zeros((len(blocks), 3, 3), dtype=complex)
     u[:, 0, 0] = 1.0
     u[:, 1:, 1:] = blocks
@@ -247,16 +252,15 @@ def check_pic3_conditions(params: Pic3Params):
     """Raise PreconditionError naming the first violated condition."""
     a1, a2, a3 = params.alpha
     v1, v2 = complex(params.v[0]), complex(params.v[1])
-    if params.lam <= 0:
-        raise PreconditionError("lam", "the scale of T must be positive")
     if a1 == 0 or a2 == 0 or a3 == 0:
         raise PreconditionError(
             "cond:1", f"every alpha component must be nonzero, got {params.alpha}"
         )
+    _pic3_group(params.group_choice)  # an unknown choice raises here
     if params.group_choice == "quaternion":
         if v1 == 0 and v2 == 0:
             raise PreconditionError("cond:2", "v must be nonzero")
-    elif params.group_choice == "dihedral":
+    else:
         if abs(v1) == abs(v2):
             raise PreconditionError(
                 "dihedral-moduli", f"|v1| must differ from |v2|, got {params.v}"
@@ -267,8 +271,6 @@ def check_pic3_conditions(params: Pic3Params):
                 "Re(v1 conj(v2)) must be nonzero for the sigma_3 intertwiner "
                 f"to produce an independent partner, got {params.v}",
             )
-    else:
-        raise DomainError(f"unknown group choice {params.group_choice!r}")
     seed = pic3_seed_matrix(params)
     _, low = psd_defects(seed)
     if low < -ATOL:
@@ -280,35 +282,27 @@ def check_pic3_conditions(params: Pic3Params):
 def build_pic3(params: Pic3Params, enforce_conditions: bool = True):
     """8-outcome covariant observable on the chosen order-8 group.
 
-    Returns (Povm, rep, T).  With the conditions enforced the effect span is
-    the full orthogonal complement of T, so the observable identifies every
-    pure state; ``enforce_conditions=False`` skips the parameter checks to
-    let deliberately broken parameters through for inspection; a scale
-    ``lam`` that is not a finite number is refused either way.
+    Returns (Povm, rep, T) with T = diag(2, -1, -1).  With the conditions
+    enforced the effect span is the full orthogonal complement of T, so the
+    observable identifies every pure state; ``enforce_conditions=False`` skips
+    the parameter checks to let deliberately broken parameters through for
+    inspection.
     """
-    if not math.isfinite(params.lam):
-        raise DomainError(f"lam must be a finite number, got {params.lam!r}")
     if enforce_conditions:
         check_pic3_conditions(params)
     rep = pic3_rep(params.group_choice)
     seed = pic3_seed_matrix(params)
     cosets = grp.coset_space(rep.group, grp.subgroup_generated(rep.group, []))
     povm = pv.build_covariant(rep, cosets, seed)
-    return povm, rep, t_operator(params.lam)
+    return povm, rep, t_operator()
 
 
-def build_quat3_pic(params: Pic3Params | None = None):
-    params = params or default_pic3_params("quaternion")
-    if params.group_choice != "quaternion":
-        raise DomainError("parameters are tagged for a different group")
-    return build_pic3(params)
+def build_quat3_pic():
+    return build_pic3(default_pic3_params("quaternion"))
 
 
-def build_dihedral3_pic(params: Pic3Params | None = None):
-    params = params or default_pic3_params("dihedral")
-    if params.group_choice != "dihedral":
-        raise DomainError("parameters are tagged for a different group")
-    return build_pic3(params)
+def build_dihedral3_pic():
+    return build_pic3(default_pic3_params("dihedral"))
 
 
 def rank1_seed(gamma: float, alpha) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -240,18 +240,19 @@ def abelian_obstruction_certificate(rep: rp.ProjectiveRep):
 
 @dataclass(frozen=True)
 class FalsifierSettings:
-    """Restarts, BFGS steps per restart, seed and thresholds of the witness search.
+    """Restarts and seed of the witness search, the two values its callers vary.
 
     Checked once, at construction: at least one restart and a non-negative seed.
+    The BFGS steps per restart and the two thresholds are class constants.
     """
 
     restarts: int = 64
-    max_iterations: int = 2000
     rng_seed: int = 0
+    max_iterations: ClassVar[int] = 2000
     # squared projection norm below which a candidate pair counts as a witness
-    witness_threshold: float = 1e-12
+    witness_threshold: ClassVar[float] = 1e-12
     # a restart stops once its objective is this small
-    floor: float = 1e-26
+    floor: ClassVar[float] = 1e-26
 
     def __post_init__(self):
         if self.restarts < 1:

@@ -334,7 +334,7 @@ def _group_average(rep: ProjectiveRep, coeffs: np.ndarray) -> np.ndarray:
     return (coeffs @ rep.matrices.reshape(-1, d * d)).reshape(d, d) / rep.group.order
 
 
-def isotypic_decompose(rep: ProjectiveRep, dual=None) -> IsotypicDecomposition:
+def isotypic_decompose(rep: ProjectiveRep) -> IsotypicDecomposition:
     """Split an ordinary unitary representation into isotypic blocks.
 
     Multiplicities come from the character inner product and must land on
@@ -344,14 +344,12 @@ def isotypic_decompose(rep: ProjectiveRep, dual=None) -> IsotypicDecomposition:
     """
     if not rep.is_unitary_rep():
         raise DomainError("isotypic decomposition needs a trivial multiplier")
-    if dual is None:
-        dual = irreps_of(rep.group)
     n = rep.group.order
     chi_v = rep.character()
     eye = np.eye(rep.dim)
     components = []
     total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for irr in dual:
+    for irr in irreps_of(rep.group):
         m = np.sum(np.conj(irr.character) * chi_v) / n
         if abs(m.imag) > PHASE_ATOL or abs(m.real - round(m.real)) > PHASE_ATOL or round(m.real) < 0:
             raise InconsistencyError(
@@ -443,7 +441,7 @@ def cyclic_by_schmidt(decomp: IsotypicDecomposition, bases, v: np.ndarray) -> bo
     return all(r == c.multiplicity for r, c in zip(ranks, decomp.components))
 
 
-def is_cyclic_vector(rep: ProjectiveRep, v, decomp=None, bases=None) -> bool:
+def is_cyclic_vector(rep: ProjectiveRep, v, decomp=None) -> bool:
     """Orbit-span cyclicity test, cross-checked against the Schmidt criterion.
 
     The direct test asks whether {V(g) v} spans the space; the second route
@@ -456,9 +454,7 @@ def is_cyclic_vector(rep: ProjectiveRep, v, decomp=None, bases=None) -> bool:
     direct = cyclic_by_span(rep, v)
     if decomp is None:
         decomp = isotypic_decompose(rep)
-    if bases is None:
-        bases = isotypic_bases(decomp)
-    schmidt = cyclic_by_schmidt(decomp, bases, v)
+    schmidt = cyclic_by_schmidt(decomp, isotypic_bases(decomp), v)
     if direct != schmidt:
         raise InconsistencyError(
             f"span test says cyclic={direct} but Schmidt test says {schmidt}"

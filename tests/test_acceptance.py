@@ -189,7 +189,7 @@ def test_criterion_06_representation_suite():
         tilde_pi = rp.conjugation_rep(pi)
         mults = {
             c.irrep.name: c.multiplicity
-            for c in rp.isotypic_decompose(tilde_pi, dual).components
+            for c in rp.isotypic_decompose(tilde_pi).components
         }
         assert mults == {"chi0": 1, "chi1": 1, "chi2": 1, "chi3": 1, "pi": 0}
 

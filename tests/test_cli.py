@@ -135,8 +135,8 @@ class TestConstruct:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, option", [
-        (["quat3", "--lambda", "nan"], "--lambda"),
-        (["quat3", "--lambda", "inf"], "--lambda"),
+        (["rank1", "--gamma", "inf"], "--gamma"),
+        (["rank1", "--gamma", "1e999"], "--gamma"),  # overflows to inf
         (["rank1", "--gamma", "nan"], "--gamma"),
         (["rank1", "--gamma=-inf"], "--gamma"),
     ])
@@ -147,6 +147,15 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert exit_.value.code == 2
         assert f"argument {option}" in err and "not a finite number" in err
+        assert not out.exists()
+
+    def test_lambda_is_not_an_option(self, tmp_path, capsys):
+        # T = diag(2, -1, -1) carries no scale, so there is none to set
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["construct", "quat3", "--lambda", "2", "-o", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --lambda 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_path_exits_3(self, capsys):

@@ -130,6 +130,7 @@ class TestDefaultWhSeed:
 class TestPic3:
     def test_quaternion_default_is_certified_minimal(self):
         povm, rep, t = cx.build_quat3_pic()
+        assert np.array_equal(t, np.diag([2, -1, -1]))
         assert len(povm) == 8
         assert pv.validate(povm).passed
         span = pv.operator_span(povm)
@@ -148,6 +149,7 @@ class TestPic3:
 
     def test_dihedral_default_is_certified_minimal(self):
         povm, rep, t = cx.build_dihedral3_pic()
+        assert np.array_equal(t, np.diag([2, -1, -1]))
         assert len(povm) == 8
         assert pv.operator_span(povm).dim == 8
         assert pv.check_pic(povm).status == pv.PIC_CERTIFIED
@@ -186,11 +188,15 @@ class TestPic3:
         povm, _, _ = cx.build_pic3(params, enforce_conditions=False)
         assert pv.operator_span(povm).dim == 6
 
-    @pytest.mark.parametrize("lam", [np.nan, np.inf])
-    @pytest.mark.parametrize("enforce", [True, False])
-    def test_non_finite_lam_rejected(self, lam, enforce):
-        with pytest.raises(DomainError, match="lam must be a finite number"):
-            cx.build_pic3(cx.Pic3Params(lam=lam), enforce_conditions=enforce)
+    @pytest.mark.parametrize("choice", ["dihedral8", ["quaternion"]])
+    def test_unknown_group_choice_rejected(self, choice):
+        for call in (lambda: cx.default_pic3_params(choice), lambda: cx.pic3_rep(choice),
+                     lambda: cx.check_pic3_conditions(cx.Pic3Params(group_choice=choice))):
+            with pytest.raises(DomainError, match="unknown group choice"):
+                call()
+        # the alpha condition is checked before the group choice
+        with pytest.raises(PreconditionError, match="cond:1"):
+            cx.check_pic3_conditions(cx.Pic3Params(alpha=(0.0, 0.1, 0.1), group_choice=choice))
 
     def test_bypassed_alpha_zero_drops_span(self):
         params = cx.Pic3Params(alpha=(1 / 32, 0.0, 1 / 32))

@@ -278,6 +278,12 @@ class TestFalsifier:
         assert np.array_equal(a.psi, b.psi)
         assert a.restart == b.restart
 
+    @pytest.mark.parametrize("field", ["max_iterations", "floor", "witness_threshold"])
+    def test_only_restarts_and_seed_are_settable(self, field):
+        with pytest.raises(TypeError, match=field):
+            pv.FalsifierSettings(**{field: 1})
+        assert pv.FalsifierSettings().witness_threshold == 1e-12
+
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_no_restarts_rejected(self, restarts):
         span = pv.operator_span(single_identity_povm(3))
