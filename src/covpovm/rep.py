@@ -15,7 +15,7 @@ import numpy as np
 
 from . import group as grp
 from .errors import DomainError, InconsistencyError, NotAProjectiveRepError, ShapeError
-from .linalg import ATOL, PHASE_ATOL, decode_complex, encode_complex, numerical_rank
+from .linalg import ATOL, PHASE_ATOL, _rank, decode_complex, encode_complex, numerical_rank
 
 
 @dataclass(eq=False)
@@ -24,8 +24,9 @@ class ProjectiveRep:
 
     ``matrices`` is one ``(n, d, d)`` array indexed by group element and
     ``multiplier`` is the full table omega; an ordinary unitary representation
-    has multiplier identically one.  Construct through
-    :func:`rep_from_matrices`, which extracts and validates the multiplier.
+    has multiplier identically one.  The constructor validates nothing:
+    :func:`rep_from_matrices` extracts and validates the multiplier, and
+    :func:`conjugation_rep` certifies its output from the input's products.
     """
 
     group: grp.FiniteGroup
@@ -62,37 +63,24 @@ def _block_rows(n: int, per_row: int) -> int:
     return min(n, max(1, _BLOCK_ENTRIES // per_row))
 
 
-def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
-    """Validate unitaries against the group table and extract the multiplier.
+def _product_blocks(group: grp.FiniteGroup, stack: np.ndarray):
+    """The product rule U(gh) = omega(g, h) U(g) U(h), one block of table rows at a time.
 
-    The scalar omega(g, h) is estimated as <U(g)U(h), U(gh)>_HS / d and the
-    residual ||U(gh) - omega U(g)U(h)|| must vanish within ATOL; anything
-    larger means the matrices do not projectively represent the group.  A
-    block of table rows g is checked as one batched product
-    [g, h] -> U(g) U(h), and the first failing pair in row-major order is the
-    one reported.  A block holds ``max(1, 4096 // (n d^2))`` rows, so each of
-    its four ``(rows, n, d, d)`` work arrays stays at or below 64 KiB: small
-    groups take many rows per numpy call, while a row of a large rep (shift and
-    clock at d = 15 holds 50,625 entries) is a block of its own.  A larger
-    block would cross the mmap threshold and page-fault its buffers on every
-    call in a fresh process.  The work arrays are allocated once and filled in
-    place; the cocycle check blocks the same way.  The gathers use
-    ``mode="clip"``, which writes straight into its buffer where the default
-    mode would stage a copy; a validated table never clips.
+    Yields ``(g0, om, defect, residual)`` for the rows g0, g0 + 1, ... of a
+    block, each a ``(rows, n)`` array over h: the estimate
+    om = <U(g)U(h), U(gh)>_HS / d, divided by its modulus where
+    defect = ||om| - 1| is within PHASE_ATOL, and the residual
+    max |U(gh) - om U(g)U(h)|.  Raises nothing; the callers judge.
+    A block holds ``max(1, 4096 // (n d^2))`` rows, so each of its four
+    ``(rows, n, d, d)`` work arrays stays at or below 64 KiB: small groups
+    take many rows per numpy call, while a row of a large rep (shift and clock
+    at d = 15 holds 50,625 entries) is a block of its own.  A larger block
+    would cross the mmap threshold and page-fault its buffers on every call in
+    a fresh process.  The work arrays are allocated once and filled in place.
+    The gathers use ``mode="clip"``, which writes straight into its buffer
+    where the default mode would stage a copy; a validated table never clips.
     """
-    stack = _as_stack(matrices)
-    if not np.all(np.isfinite(stack)):
-        raise DomainError("representation matrices have non-finite entries")
-    n = group.order
-    if len(stack) != n:
-        raise DomainError(f"need {n} matrices, got {len(stack)}")
-    d = stack.shape[1]
-    eye = np.eye(d)
-    if np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye).max() > ATOL * max(1.0, d):
-        raise DomainError("matrix is not unitary")
-    if np.abs(stack[group.identity] - eye).max() > ATOL:
-        raise DomainError("identity element must map to the identity matrix")
-    omega = np.empty((n, n), dtype=complex)
+    n, d = len(stack), stack.shape[1]
     rows = _block_rows(n, n * d * d)
     shape = (rows,) + stack.shape
     prods_buf = np.empty(shape, dtype=complex)       # [g, h] -> U(g) U(h)
@@ -110,11 +98,39 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
         work *= targets
         om = work.sum(axis=(2, 3)) / d
         modulus = np.abs(om)
-        not_unimodular = np.abs(modulus - 1) > PHASE_ATOL
-        om /= np.where(not_unimodular, 1.0, modulus)
+        defect = np.abs(modulus - 1)
+        om /= np.where(defect > PHASE_ATOL, 1.0, modulus)
         prods *= om[:, :, None, None]
         np.subtract(targets, prods, out=work)
-        residual = np.abs(work, out=moduli).max(axis=(2, 3))
+        yield g0, om, defect, np.abs(work, out=moduli).max(axis=(2, 3))
+
+
+def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
+    """Validate unitaries against the group table and extract the multiplier.
+
+    The scalar omega(g, h) is estimated as <U(g)U(h), U(gh)>_HS / d and the
+    residual ||U(gh) - omega U(g)U(h)|| must vanish within ATOL; anything
+    larger means the matrices do not projectively represent the group.  A
+    block of table rows g is checked as one batched product
+    [g, h] -> U(g) U(h) (:func:`_product_blocks`), and the first failing pair
+    in row-major order is the one reported.  The cocycle check blocks the
+    same way.
+    """
+    stack = _as_stack(matrices)
+    if not np.all(np.isfinite(stack)):
+        raise DomainError("representation matrices have non-finite entries")
+    n = group.order
+    if len(stack) != n:
+        raise DomainError(f"need {n} matrices, got {len(stack)}")
+    d = stack.shape[1]
+    eye = np.eye(d)
+    if np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye).max() > ATOL * max(1.0, d):
+        raise DomainError("matrix is not unitary")
+    if np.abs(stack[group.identity] - eye).max() > ATOL:
+        raise DomainError("identity element must map to the identity matrix")
+    omega = np.empty((n, n), dtype=complex)
+    for g0, om, defect, residual in _product_blocks(group, stack):
+        not_unimodular = defect > PHASE_ATOL
         failed = not_unimodular | (residual > ATOL * max(1.0, d))
         if failed.any():
             r, h = divmod(int(np.argmax(failed)), n)   # row-major: first g, then h
@@ -122,7 +138,7 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
             if not_unimodular[r, h]:
                 raise NotAProjectiveRepError(f"multiplier at {pair} is not unimodular")
             raise NotAProjectiveRepError(f"residual at {pair} exceeds tolerance")
-        omega[g0:g1] = om
+        omega[g0:g0 + len(om)] = om
     e = group.identity
     if np.abs(omega[e, :] - 1).max() > PHASE_ATOL or np.abs(omega[:, e] - 1).max() > PHASE_ATOL:
         raise NotAProjectiveRepError("multiplier is not normalized at the identity")
@@ -138,7 +154,7 @@ def _check_cocycle(group: grp.FiniteGroup, omega: np.ndarray):
 
     A block of ``max(1, 4096 // n^2)`` values of g at a time, with the same
     64 KiB bound on its ``(rows, n, n)`` work arrays as
-    :func:`rep_from_matrices`: [g, h, k] -> omega(g, hk) omega(h, k) and
+    :func:`_product_blocks`: [g, h, k] -> omega(g, hk) omega(h, k) and
     omega(g, h) omega(gh, k).
     """
     n = group.order
@@ -173,13 +189,62 @@ def conjugation_rep(rep: ProjectiveRep) -> ProjectiveRep:
     """Ordinary unitary representation L -> U(g) L U(g)* on operator space.
 
     Operators are vectorized row-major, so the representing matrix is
-    kron(U, conj(U)); the multiplier phases cancel and the identity operator
-    line is always invariant.
+    K(g) = kron(U(g), conj(U(g))); the multiplier phases cancel and the
+    identity operator line is always invariant.
+
+    K is certified from U's own d x d products instead of by
+    ``rep_from_matrices`` on the (d^2, d^2) stack.  With P = U(g)U(h),
+    Q = U(gh), f = max |U*U - I|, e = max |Q - om P| and
+    delta = max ||om| - 1| over the table (om as in :func:`_product_blocks`),
+    the mixed-product rule gives K(g)K(h) = kron(P, conj P), K*K =
+    kron(U*U, conj(U*U)) and a multiplier |<P, Q>|^2 / d^2, real and
+    positive.  So every check of ``rep_from_matrices`` on K holds when
+
+    - unitarity: 2f + f^2 <= ATOL d^2;
+    - product residual: 2e(1 + d f) + e^2 <= ATOL d^2, as
+      |P_ij| <= ||U(g)|| ||U(h)|| <= 1 + d f;
+    - unimodularity: delta (2 + delta) <= PHASE_ATOL;
+    - identity: max |K(e) - I| <= ATOL, computed directly;
+
+    each left side plus d^4 eps (1 + d f)^2 for the rounding of the
+    d^4-term sums the direct check would form.  The normalized multiplier of
+    K is then 1, so the identity normalization and the cocycle identity hold
+    too, and the table is returned as exactly one.  Anything not certified
+    goes to ``rep_from_matrices`` on K, with its errors.
     """
-    out = rep_from_matrices(rep.group, _kron(rep.matrices, rep.matrices.conj()))
+    u = rep.matrices
+    k = _kron(u, u.conj())
+    n = rep.group.order
+    if _conjugation_certified(rep.group, u, k):
+        return ProjectiveRep(rep.group, k.shape[1], k, np.ones((n, n), dtype=complex))
+    out = rep_from_matrices(rep.group, k)
     if not out.is_unitary_rep():
         raise InconsistencyError("conjugation representation kept a multiplier")
     return out
+
+
+def _conjugation_certified(group: grp.FiniteGroup, u: np.ndarray, k: np.ndarray) -> bool:
+    """The bounds of :func:`conjugation_rep`.
+
+    False also unless U is one complex ``(n, d, d)`` array, the shape the
+    in-place gathers of :func:`_product_blocks` need.
+    """
+    d = u.shape[-1]
+    if u.dtype != complex or u.shape != (group.order, d, d):
+        return False
+    dk = d * d
+    f = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)).max()
+    rounding = dk * dk * np.finfo(float).eps * (1 + d * f) ** 2
+    # written so that a NaN fails every comparison
+    if not 2 * f + f * f + rounding <= ATOL * dk:
+        return False
+    e = delta = 0.0
+    for _, _, defect, residual in _product_blocks(group, u):
+        e = max(e, residual.max())
+        delta = max(delta, defect.max())
+    return bool(2 * e * (1 + d * f) + e * e + rounding <= ATOL * dk
+                and delta * (2 + delta) + rounding <= PHASE_ATOL
+                and np.abs(k[group.identity] - np.eye(dk)).max() <= ATOL)
 
 
 def regular_rep(group: grp.FiniteGroup) -> ProjectiveRep:
@@ -340,36 +405,40 @@ def isotypic_decompose(rep: ProjectiveRep) -> IsotypicDecomposition:
     Multiplicities come from the character inner product and must land on
     nonnegative integers; projections use the conjugated character in the
     coefficient, P = (dim/#G) sum_g conj(chi(g)) V(g), and are validated to
-    be idempotent, mutually orthogonal, and to resolve the identity.
+    be idempotent, mutually orthogonal, and to resolve the identity.  All
+    projections are one contraction over the stack, idempotence is one
+    batched product and the ranks one batched SVD; each irrep's checks are
+    judged in dual order, as one irrep at a time would raise them.
     """
     if not rep.is_unitary_rep():
         raise DomainError("isotypic decomposition needs a trivial multiplier")
-    n = rep.group.order
-    chi_v = rep.character()
-    eye = np.eye(rep.dim)
+    n, d = rep.group.order, rep.dim
+    irreps = irreps_of(rep.group)
+    chars = np.array([irr.character for irr in irreps])           # [a, g]
+    dims = np.array([irr.dim for irr in irreps])
+    mults = chars.conj() @ rep.character() / n
+    projs = ((dims[:, None] * chars.conj()) @ rep.matrices.reshape(n, d * d)
+             ).reshape(-1, d, d) / n
+    idempotence = np.abs(projs @ projs - projs).max(axis=(1, 2))
+    ranks = [_rank(s) for s in np.linalg.svd(projs, compute_uv=False)]
     components = []
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for irr in irreps_of(rep.group):
-        m = np.sum(np.conj(irr.character) * chi_v) / n
+    for irr, m, p, defect, rank in zip(irreps, mults, projs, idempotence, ranks):
         if abs(m.imag) > PHASE_ATOL or abs(m.real - round(m.real)) > PHASE_ATOL or round(m.real) < 0:
             raise InconsistencyError(
                 f"multiplicity of {irr.name} is {m}, not a nonnegative integer"
             )
         mult = int(round(m.real))
-        p = _group_average(rep, irr.dim * np.conj(irr.character))
-        if np.abs(p @ p - p).max() > ATOL:
+        if defect > ATOL:
             raise InconsistencyError(f"projection for {irr.name} is not idempotent")
-        if numerical_rank(p) != irr.dim * mult:
+        if rank != irr.dim * mult:
             raise InconsistencyError(f"projection rank mismatch for {irr.name}")
-        total += p
         components.append(IsotypicComponent(irr, mult, p))
-    if np.abs(total - eye).max() > ATOL:
+    if np.abs(projs.sum(axis=0) - np.eye(d)).max() > ATOL:
         raise InconsistencyError("projections do not resolve the identity")
-    for i, a in enumerate(components):
-        for b in components[i + 1:]:
-            if np.abs(a.projection @ b.projection).max() > ATOL:
-                raise InconsistencyError("projections are not mutually orthogonal")
-    if sum(c.irrep.dim * c.multiplicity for c in components) != rep.dim:
+    for a in range(len(projs) - 1):
+        if np.abs(projs[a] @ projs[a + 1:]).max() > ATOL:
+            raise InconsistencyError("projections are not mutually orthogonal")
+    if sum(c.irrep.dim * c.multiplicity for c in components) != d:
         raise InconsistencyError("multiplicities do not fill the space")
     return IsotypicDecomposition(rep, components)
 
@@ -402,7 +471,10 @@ def isotypic_bases(decomp: IsotypicDecomposition) -> list:
         if m == 0:
             out.append(None)
             continue
-        e00 = _matrix_unit_projection(rep, comp.irrep, 0, 0)
+        if comp.irrep.dim == 1:
+            e00 = comp.projection   # E_00 of a one-dimensional irrep is its projection
+        else:
+            e00 = _matrix_unit_projection(rep, comp.irrep, 0, 0)
         vals, vecs = np.linalg.eigh((e00 + e00.conj().T) / 2)
         keep = vals > 0.5
         if int(keep.sum()) != m:

@@ -3,13 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpovm import group as grp
 from covpovm import linalg
 from covpovm import rep as rp
-from covpovm.errors import DomainError, NotAProjectiveRepError, ShapeError
+from covpovm.errors import (
+    DomainError, InconsistencyError, NotAProjectiveRepError, ShapeError,
+)
 
 from support import T_OPERATOR, haar_unitary, make_wh_rep, pic3_seed, wh_matrices
+
+SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
 
 def entrywise_multiplier(u_g, u_h, u_gh):
@@ -292,6 +298,104 @@ class TestConjugationRep:
             assert not rep.is_unitary_rep()
             assert rp.conjugation_rep(rep).is_unitary_rep()
 
+    @pytest.mark.parametrize("name", [
+        "wh1", "wh2", "wh3", "wh4", "wh5", "wh6", "wh7", "quat3", "dihedral3", "q8c3", "q8c5",
+    ])
+    def test_certified_output_is_the_validated_kron_stack(self, name, quat3_rep, dihedral3_rep):
+        rep = conjugation_case(name, quat3_rep, dihedral3_rep)
+        stack = np.array([np.kron(u, u.conj()) for u in rep.matrices])
+        out = rp.conjugation_rep(rep)
+        assert np.array_equal(out.matrices, stack)
+        n = rep.group.order
+        assert out.dim == stack.shape[1]
+        assert np.array_equal(out.multiplier, np.ones((n, n)))
+        direct = rp.rep_from_matrices(rep.group, stack)
+        assert np.array_equal(out.character(), direct.character())
+        assert out.is_unitary_rep() and direct.is_unitary_rep()
+
+    @pytest.mark.parametrize("fault", [
+        "non-unitary", "phase-broken", "non-unimodular", "non-finite", "missing",
+    ])
+    def test_uncertified_input_gets_the_direct_error(self, fault):
+        # ProjectiveRep validates nothing, so a broken U reaches conjugation_rep
+        rep = make_wh_rep(4)
+        mats = rep.matrices.copy()
+        last = rep.group.order - 1
+        if fault == "non-unitary":
+            # similar to the rep, so only the unitarity bound fails
+            s = np.diag([1 + 1e-6, 1, 1, 1])
+            mats = s @ mats @ np.linalg.inv(s)
+        elif fault == "phase-broken":
+            mats[last] = mats[last] @ np.diag([np.exp(1e-4j), 1, 1, 1])
+        elif fault == "non-unimodular":
+            mats[last] = mats[1]   # orthogonal to the true product: overlap 0
+        elif fault == "non-finite":
+            mats[5, 0, 0] = np.nan
+        else:
+            mats = mats[:-1]
+        broken = rp.ProjectiveRep(rep.group, rep.dim, mats, rep.multiplier)
+        stack = np.array([np.kron(u, u.conj()) for u in mats])
+        with pytest.raises(Exception) as direct:
+            rp.rep_from_matrices(rep.group, stack)
+        with pytest.raises(Exception) as err:
+            rp.conjugation_rep(broken)
+        assert type(err.value) is type(direct.value)
+        assert str(err.value) == str(direct.value)
+
+    def test_unimodularity_bound_is_not_implied(self):
+        # Z2 by I and (1 + 4e-8) diag(+-1) at d = 16: U's products pass and K is
+        # unitary within ATOL d^2, but |omega_K(e, a)| = (1 + 4e-8)^4
+        g = grp.cyclic_group(2)
+        signs = np.where(np.arange(16) % 2, -1.0, 1.0)
+        mats = np.array([np.eye(16), np.diag((1 + 4e-8) * signs)], dtype=complex)
+        rep = rp.ProjectiveRep(g, 16, mats, np.ones((2, 2), dtype=complex))
+        stack = np.array([np.kron(u, u.conj()) for u in mats])
+        assert not rp._conjugation_certified(g, mats, stack)
+        with pytest.raises(NotAProjectiveRepError) as direct:
+            rp.rep_from_matrices(g, stack)
+        with pytest.raises(NotAProjectiveRepError) as err:
+            rp.conjugation_rep(rep)
+        assert str(err.value) == str(direct.value) == "multiplier at (0, 1) is not unimodular"
+
+    def test_small_defects_are_certified_not_revalidated(self, monkeypatch):
+        # U off by ATOL in its product rule and unitarity: inside the K bounds
+        rep = make_wh_rep(3)
+        mats = rep.matrices * (1 + linalg.ATOL / 4)
+        mats[rep.group.identity] = np.eye(3)
+        monkeypatch.setattr(rp, "rep_from_matrices", lambda *args: pytest.fail("revalidated"))
+        out = rp.conjugation_rep(rp.ProjectiveRep(rep.group, 3, mats, rep.multiplier))
+        assert np.array_equal(out.multiplier, np.ones((9, 9)))
+
+    @SETTINGS
+    @given(d=st.integers(2, 4), exponent=st.floats(-11.0, -8.0),
+           seed=st.integers(0, 2 ** 32 - 1), identity=st.booleans())
+    def test_certificate_implies_the_direct_check(self, d, exponent, seed, identity):
+        # noise around the tolerances: whatever is certified passes rep_from_matrices
+        rep = make_wh_rep(d)
+        rng = np.random.default_rng(seed)
+        shape = rep.matrices.shape
+        mats = rep.matrices + 10 ** exponent * (rng.standard_normal(shape)
+                                                + 1j * rng.standard_normal(shape))
+        if not identity:
+            mats[rep.group.identity] = np.eye(d)
+        stack = np.array([np.kron(u, u.conj()) for u in mats])
+        if rp._conjugation_certified(rep.group, mats, stack):
+            direct = rp.rep_from_matrices(rep.group, stack)
+            assert direct.is_unitary_rep()
+
+    def test_wh7_makes_no_49_dimensional_validation(self, monkeypatch):
+        rep = make_wh_rep(7)
+        dims = []
+        validate = rp.rep_from_matrices
+
+        def counted(group, matrices):
+            dims.append(np.shape(matrices)[-1])
+            return validate(group, matrices)
+
+        monkeypatch.setattr(rp, "rep_from_matrices", counted)
+        assert rp.conjugation_rep(rep).dim == 49
+        assert 49 not in dims
+
 
 class TestIrreps:
     def test_quaternion_dual(self, quaternion):
@@ -360,7 +464,7 @@ class TestIrreps:
                     assert abs(ip - expected) < 1e-9
 
     def test_untagged_group_unsupported(self, quaternion):
-        bare = grp.group_from_json(grp.group_to_json(quaternion))
+        bare = grp.FiniteGroup(quaternion.names, quaternion.mul)
         with pytest.raises(NotImplementedError):
             rp.irreps_of(bare)
 
@@ -392,6 +496,24 @@ class TestIrrepRejection:
         g = grp.cyclic_group(2)
         with pytest.raises(ShapeError):
             rp.Irrep(g, "bad", 2, [np.eye(1), -np.eye(1)])
+
+
+def conjugation_case(name, quat3_rep, dihedral3_rep):
+    """Shift/clock at d, quat3, dihedral3, or pi(q) chi(b) on quaternion x Z_k, phase-twisted."""
+    if name.startswith("wh"):
+        return make_wh_rep(int(name[2:]))
+    if name == "quat3":
+        return quat3_rep
+    if name == "dihedral3":
+        return dihedral3_rep
+    k = int(name[3:])
+    rng = np.random.default_rng(k)
+    g = grp.build_group(f"product(quaternion,cyclic:{k})")
+    chi = np.exp(2j * np.pi * np.arange(k) / k)
+    phases = np.exp(2j * np.pi * rng.random(8 * k))
+    phases[g.identity] = 1.0
+    mats = np.array([q * c for q in grp.QUATERNION_MATRICES for c in chi])
+    return rp.rep_from_matrices(g, phases[:, None, None] * mats)
 
 
 def tperp_columns():
@@ -448,6 +570,75 @@ class TestIsotypicDecomposition:
     def test_projective_input_rejected(self, wh_rep_d2):
         with pytest.raises(DomainError):
             rp.isotypic_decompose(wh_rep_d2)
+
+    def test_stacked_projections_match_the_per_irrep_average(self, quat3_rep, wh_rep_d3):
+        # one (k, n) @ (n, D^2) contraction against the loop over irreps; both
+        # sum n terms of modulus at most dim/n, so they agree to about n eps
+        for rep in (rp.conjugation_rep(quat3_rep), rp.conjugation_rep(wh_rep_d3)):
+            n, dim = rep.group.order, rep.dim
+            for c in rp.isotypic_decompose(rep).components:
+                coeffs = c.irrep.dim * np.conj(c.irrep.character)
+                ref = sum(a * m for a, m in zip(coeffs, rep.matrices)) / n
+                assert np.abs(c.projection - ref).max() < 1e-13
+                assert c.projection.shape == (dim, dim)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("idempotent", "projection for chi0 is not idempotent"),
+        ("rank", "projection rank mismatch for chi0"),
+        ("orthogonal", "projections are not mutually orthogonal"),
+    ])
+    def test_broken_projections_named(self, fault, message):
+        # V(g) = sum_j chi_j(g) P_j on a cyclic group has exactly the
+        # projections P_j, which need not be those of a unitary rep
+        if fault == "idempotent":
+            # trace 1 each, but P_0^2 != P_0
+            projs = [np.diag([0.5, 0.5]), np.diag([0.5, 0.5])]
+        elif fault == "rank":
+            # P_0 is an exact idempotent of trace 2 whose 2^31 entry puts
+            # its second singular value below the rank cut
+            c = 2.0 ** 31
+            p0 = np.array([[1, c, 0], [0, 0, 0], [0, 0, 1]])
+            projs = [p0, np.eye(3) - p0]
+        else:
+            # exact idempotents of rank 1 resolving the identity to 1e-10,
+            # the oblique P_0 amplifying that defect to 1e-8 in P_0 P_2
+            c = 100.0
+            p0 = np.array([[1, c, 0], [0, 0, 0], [0, 0, 0]])
+            p1 = np.array([[0, -c, 0], [0, 1, 0], [0, 0, 0]])
+            p2 = np.array([[0, 0, 0], [0, 0, 1e-10], [0, 0, 1]])
+            projs = [p0, p1, p2]
+        n = len(projs)
+        g = grp.cyclic_group(n)
+        # [g, j] -> chi_j(g), exactly +-1 on Z2 so that 2^31 entries stay exact
+        chars = np.real_if_close(np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n))
+        mats = np.einsum("gj,jab->gab", chars, np.array(projs, dtype=complex))
+        rep = rp.ProjectiveRep(g, mats.shape[1], mats, np.ones((n, n), dtype=complex))
+        with pytest.raises(InconsistencyError) as err:
+            rp.isotypic_decompose(rep)
+        assert str(err.value) == message
+
+    @SETTINGS
+    @given(name=st.sampled_from(["wh2", "wh3", "quat3", "dihedral3", "q8c3"]),
+           seed=st.integers(0, 2 ** 32 - 1), diagonal=st.booleans())
+    def test_unitary_frame_change_keeps_multiplicities_and_cyclicity(
+            self, quat3_rep, dihedral3_rep, name, seed, diagonal):
+        # U -> V U V* moves the conjugation representation by kron(V, conj V)
+        rep = conjugation_case(name, quat3_rep, dihedral3_rep)
+        rng = np.random.default_rng(seed)
+        d = rep.dim
+        v = haar_unitary(d, rng)
+        moved = rp.rep_from_matrices(rep.group, v @ rep.matrices @ v.conj().T)
+        conj, moved_conj = rp.conjugation_rep(rep), rp.conjugation_rep(moved)
+        mults = {c.irrep.name: c.multiplicity for c in rp.isotypic_decompose(conj).components}
+        moved_mults = {c.irrep.name: c.multiplicity
+                       for c in rp.isotypic_decompose(moved_conj).components}
+        assert moved_mults == mults
+        # a diagonal operator misses the shift's components, so both answers occur
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        op = np.diag(x) if diagonal else x[:, None] * x.conj() + haar_unitary(d, rng)
+        vec = op.reshape(-1)
+        assert (rp.is_cyclic_vector(moved_conj, np.kron(v, v.conj()) @ vec)
+                == rp.is_cyclic_vector(conj, vec))
 
 
 class TestCyclicVectors:
