@@ -50,6 +50,8 @@ class FiniteGroup:
     kind: str | None = None
     identity: int = field(init=False)
     inverse: np.ndarray = field(init=False)
+    # the dual, built once by covpovm.rep.irreps_of
+    _dual: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.mul = np.asarray(self.mul, dtype=int)

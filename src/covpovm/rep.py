@@ -113,8 +113,21 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     larger means the matrices do not projectively represent the group.  A
     block of table rows g is checked as one batched product
     [g, h] -> U(g) U(h) (:func:`_product_blocks`), and the first failing pair
-    in row-major order is the one reported.  The cocycle check blocks the
-    same way.
+    in row-major order is the one reported.
+
+    The cocycle identity follows from the product residuals.  With
+    r(g, h) = U(gh) - omega(g, h) U(g)U(h) and M = U(g)U(h)U(k), expanding
+    U(ghk) once as U(g . hk) and once as U(gh . k) gives
+    Delta M = omega(gh, k) r(g, h) U(k) + r(gh, k) - omega(g, hk) U(g) r(h, k)
+    - r(g, hk) for the cocycle defect Delta of the triple.  With
+    e = max |r|, f = max |U*U - I|, ||r||_F <= d e, ||U|| <= sqrt(1 + d f)
+    and ||M||_F >= (1 - d f)^(3/2) sqrt(d), so
+    |Delta| <= 2 sqrt(d) e (1 + sqrt(1 + d f)) / (1 - d f)^(3/2), with e
+    raised by d^2 eps (1 + d f) for the rounding of the residuals.  When that
+    bound plus the rounding of the check's own products is within PHASE_ATOL
+    the identity holds and :func:`_check_cocycle` is skipped; otherwise it
+    runs over all triples, with its error.  A multiplier within ATOL of 1
+    meets the identity within 4 ATOL and skips it too.
     """
     stack = _as_stack(matrices)
     if not np.all(np.isfinite(stack)):
@@ -124,11 +137,13 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
         raise DomainError(f"need {n} matrices, got {len(stack)}")
     d = stack.shape[1]
     eye = np.eye(d)
-    if np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye).max() > ATOL * max(1.0, d):
+    f = np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye).max()
+    if f > ATOL * max(1.0, d):
         raise DomainError("matrix is not unitary")
     if np.abs(stack[group.identity] - eye).max() > ATOL:
         raise DomainError("identity element must map to the identity matrix")
     omega = np.empty((n, n), dtype=complex)
+    e = 0.0
     for g0, om, defect, residual in _product_blocks(group, stack):
         not_unimodular = defect > PHASE_ATOL
         failed = not_unimodular | (residual > ATOL * max(1.0, d))
@@ -139,14 +154,26 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
                 raise NotAProjectiveRepError(f"multiplier at {pair} is not unimodular")
             raise NotAProjectiveRepError(f"residual at {pair} exceeds tolerance")
         omega[g0:g0 + len(om)] = om
-    e = group.identity
-    if np.abs(omega[e, :] - 1).max() > PHASE_ATOL or np.abs(omega[:, e] - 1).max() > PHASE_ATOL:
+        e = max(e, residual.max())
+    e0 = group.identity
+    if np.abs(omega[e0, :] - 1).max() > PHASE_ATOL or np.abs(omega[:, e0] - 1).max() > PHASE_ATOL:
         raise NotAProjectiveRepError("multiplier is not normalized at the identity")
     rep = ProjectiveRep(group, d, stack, omega)
-    # a multiplier within ATOL of 1 meets the cocycle identity within 4 ATOL
-    if not rep.is_unitary_rep():
+    if not (rep.is_unitary_rep() or _cocycle_certified(d, e, f)):
         _check_cocycle(group, omega)
     return rep
+
+
+def _cocycle_certified(d: int, e: float, f: float) -> bool:
+    """The cocycle bound of :func:`rep_from_matrices` from residual e and unitarity defect f."""
+    eps = np.finfo(float).eps
+    df = d * f
+    if not df < 1:
+        return False
+    e = e + d * d * eps * (1 + df)
+    bound = 2 * np.sqrt(d) * e * (1 + np.sqrt(1 + df)) / ((1 - df) * np.sqrt(1 - df))
+    # plus the rounding of the check's two products of unimodular numbers
+    return bool(bound + 4 * eps <= PHASE_ATOL)
 
 
 def _check_cocycle(group: grp.FiniteGroup, omega: np.ndarray):
@@ -322,12 +349,22 @@ def _sign_character(group, name, plus_names):
 
 
 def irreps_of(group: grp.FiniteGroup) -> list:
-    """Complete dual of the supported groups.
+    """Complete dual of the supported groups, as a fresh list on each call.
 
     Supported kinds: cyclic groups, direct products of supported groups, the
     quaternion group, and the order-8 dihedral group.  Anything else raises
-    NotImplementedError; extending the dispatch here is the intended hook.
+    NotImplementedError; extending the dispatch in :func:`_build_dual` is the
+    intended hook.  The dual is built and validated once per group object and
+    kept on the group; a group whose dual has not been built yet, or whose
+    construction raised, builds it again.
     """
+    if group._dual is None:
+        group._dual = tuple(_build_dual(group))
+    return list(group._dual)
+
+
+def _build_dual(group: grp.FiniteGroup) -> list:
+    """Build and validate the dual of :func:`irreps_of`."""
     kind = group.kind
     if kind is None:
         raise NotImplementedError("group carries no construction tag")
@@ -409,6 +446,19 @@ def isotypic_decompose(rep: ProjectiveRep) -> IsotypicDecomposition:
     projections are one contraction over the stack, idempotence is one
     batched product and the ranks one batched SVD; each irrep's checks are
     judged in dual order, as one irrep at a time would raise them.
+
+    Mutual orthogonality follows from the other checks.  With
+    D_a = P_a^2 - P_a, E = sum_b P_b - I and x the largest ||P_a P_c||_F
+    over a != c, writing P_a P_c through P_a E P_c gives
+    x <= alpha + (k - 2) x^2 for k projections, where
+    alpha = nu^2 (||E||_F + sum_b ||D_b||_F) + 2 nu max_b ||D_b||_F and
+    nu = max_a ||P_a||_F.  Separately,
+    ||P_b P_a||_F^2 = tr(P_b* P_b P_a P_a*) is bounded by |tr(P_a P_b)| plus
+    terms in D and the Hermiticity defects P - P*, from one (k, D^2) trace
+    Gram.  When that bound lies below the large root of the quadratic, x is
+    at most its small root, about alpha; every norm is raised by its
+    rounding.  When the small root is within ATOL the k (k - 1) / 2 pairwise
+    products are skipped; otherwise they run, with their error.
     """
     if not rep.is_unitary_rep():
         raise DomainError("isotypic decomposition needs a trivial multiplier")
@@ -419,7 +469,7 @@ def isotypic_decompose(rep: ProjectiveRep) -> IsotypicDecomposition:
     mults = chars.conj() @ rep.character() / n
     projs = ((dims[:, None] * chars.conj()) @ rep.matrices.reshape(n, d * d)
              ).reshape(-1, d, d) / n
-    idempotence = np.abs(projs @ projs - projs).max(axis=(1, 2))
+    idempotence, idem_norms = _idempotence_defects(projs)
     ranks = [_rank(s) for s in np.linalg.svd(projs, compute_uv=False)]
     components = []
     for irr, m, p, defect, rank in zip(irreps, mults, projs, idempotence, ranks):
@@ -433,14 +483,72 @@ def isotypic_decompose(rep: ProjectiveRep) -> IsotypicDecomposition:
         if rank != irr.dim * mult:
             raise InconsistencyError(f"projection rank mismatch for {irr.name}")
         components.append(IsotypicComponent(irr, mult, p))
-    if np.abs(projs.sum(axis=0) - np.eye(d)).max() > ATOL:
+    resolution = projs.sum(axis=0) - np.eye(d)
+    if np.abs(resolution).max() > ATOL:
         raise InconsistencyError("projections do not resolve the identity")
-    for a in range(len(projs) - 1):
-        if np.abs(projs[a] @ projs[a + 1:]).max() > ATOL:
-            raise InconsistencyError("projections are not mutually orthogonal")
+    if not _orthogonality_certified(projs, idem_norms, resolution):
+        for a in range(len(projs) - 1):
+            if np.abs(projs[a] @ projs[a + 1:]).max() > ATOL:
+                raise InconsistencyError("projections are not mutually orthogonal")
     if sum(c.irrep.dim * c.multiplicity for c in components) != d:
         raise InconsistencyError("multiplicities do not fill the space")
     return IsotypicDecomposition(rep, components)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex 2-d array, with no full-size temporary."""
+    return np.sqrt(np.einsum("ij,ij->i", x.real, x.real) + np.einsum("ij,ij->i", x.imag, x.imag))
+
+
+def _idempotence_defects(projs: np.ndarray) -> tuple:
+    """max |P_a^2 - P_a| and ||P_a^2 - P_a||_F for each projection of the stack.
+
+    Only the two (k,) results outlive the call, so the (k, D, D) defects are
+    freed before the batched rank SVD allocates its own copy of the stack.
+    """
+    idem = projs @ projs
+    idem -= projs
+    return np.abs(idem).max(axis=(1, 2)), _row_norms(idem.reshape(len(projs), -1))
+
+
+def _orthogonality_certified(projs: np.ndarray, idem_norms: np.ndarray,
+                             resolution: np.ndarray) -> bool:
+    """The orthogonality bound of :func:`isotypic_decompose`.
+
+    ``idem_norms`` holds ||P_a^2 - P_a||_F and ``resolution`` sum_a P_a - I.
+    """
+    k, dim = len(projs), projs.shape[1]
+    if k < 2:
+        return True
+    eps = np.finfo(float).eps
+    flat = projs.reshape(k, -1)
+    nu = _row_norms(flat)                               # ||P_a||_F
+    top = nu.max()
+    work = projs.transpose(0, 2, 1).reshape(k, -1)      # [a] -> P_a^T, flattened
+    gram = np.abs(flat @ work.T)                        # [a, b] -> tr(P_a P_b)
+    np.conjugate(work, out=work)
+    work -= flat                                        # [a] -> P_a* - P_a
+    # Frobenius norms of D_a, E and P_a - P_a*, each raised by its rounding
+    idem_norms = idem_norms + dim * eps * nu * nu
+    res_norm = np.linalg.norm(resolution) + k * eps * nu.sum()
+    herm_norms = _row_norms(work) + eps * nu
+    alpha = top * top * (res_norm + idem_norms.sum()) + 2 * top * idem_norms.max()
+    # ||P_b P_a||_F^2 <= |tr(P_a P_b)| + nu_a xi_b + xi_a nu_b + xi_a xi_b with
+    # xi_a = ||D_a||_F + ||P_a - P_a*||_F nu_a bounding both P_a P_a* - P_a and P_a* P_a - P_a
+    xi = idem_norms + herm_norms * nu
+    cross = np.outer(nu, xi)
+    squares = gram + dim * dim * eps * np.outer(nu, nu) + cross + cross.T + np.outer(xi, xi)
+    y = np.sqrt(squares[~np.eye(k, dtype=bool)].max())
+    beta = k - 2
+    disc = 1 - 4 * alpha * beta
+    # written so that a NaN fails every comparison
+    if not disc >= 0:
+        return False
+    root = np.sqrt(disc)
+    # y below the large root (1 + root) / (2 beta) leaves x at most the small one
+    if beta and not 2 * beta * y < 1 + root:
+        return False
+    return bool(2 * alpha / (1 + root) + dim * eps * top * top <= ATOL)
 
 
 def is_cyclic_rep(decomp: IsotypicDecomposition) -> bool:
@@ -537,48 +645,72 @@ def is_cyclic_vector(rep: ProjectiveRep, v, decomp=None) -> bool:
 # --- joint eigenspaces -------------------------------------------------------
 
 def _eigenspaces(u: np.ndarray) -> list:
+    """Orthonormal eigenspaces of u in phase order.
+
+    Each cluster gathers the unused eigenvalues within PHASE_ATOL of the
+    next one in phase order; clusters of one size are orthonormalized by one
+    batched QR.
+    """
     vals, vecs = np.linalg.eig(u)
-    n = len(vals)
-    used = np.zeros(n, dtype=bool)
-    spaces = []
-    order = np.argsort(np.angle(vals))
-    for idx in order:
-        if used[idx]:
-            continue
-        cluster = [i for i in range(n) if not used[i] and abs(vals[i] - vals[idx]) < PHASE_ATOL]
-        for i in cluster:
-            used[i] = True
-        q, _ = np.linalg.qr(vecs[:, cluster])
-        spaces.append(q)
+    near = np.abs(vals[:, None] - vals[None, :]) < PHASE_ATOL
+    used = np.zeros(len(vals), dtype=bool)
+    clusters = []
+    for idx in np.argsort(np.angle(vals)):
+        if not used[idx]:
+            cluster = np.flatnonzero(near[idx] & ~used)
+            used[cluster] = True
+            clusters.append(cluster)
+    spaces = [None] * len(clusters)
+    for w in {c.size for c in clusters}:
+        which = [k for k, c in enumerate(clusters) if c.size == w]
+        q, _ = np.linalg.qr(vecs[:, np.array([clusters[k] for k in which])].transpose(1, 0, 2))
+        for k, qk in zip(which, q):
+            spaces[k] = qk
     return spaces
 
 
-def _subspace_intersection(a: np.ndarray, b: np.ndarray):
-    m = a.conj().T @ b
-    u, s, _ = np.linalg.svd(m)
-    idx = np.nonzero(s > 1 - PHASE_ATOL)[0]
-    if idx.size == 0:
-        return None
-    return a @ u[:, idx]
+def _refine(spaces: list, eigs: list) -> list:
+    """Intersections of every space with every eigenspace, spaces outer and eigenspaces inner.
+
+    One product [s_1 ... s_I]* [e_1 ... e_J] holds every s_i* e_j as a block,
+    and the blocks of one shape go through one batched SVD; a singular value
+    above 1 - PHASE_ATOL is a shared direction, and s_i times its left
+    singular vectors spans the intersection.
+    """
+    rows = np.array([s.shape[1] for s in spaces])
+    cols = np.array([e.shape[1] for e in eigs])
+    row0, col0 = np.cumsum(rows) - rows, np.cumsum(cols) - cols
+    overlaps = np.concatenate(spaces, axis=1).conj().T @ np.concatenate(eigs, axis=1)
+    hits = {}
+    for r in set(rows.tolist()):
+        si = np.flatnonzero(rows == r)
+        for w in set(cols.tolist()):
+            ej = np.flatnonzero(cols == w)
+            # [i, j, p, q] -> entry (p, q) of s_i* e_j
+            block = overlaps[(row0[si, None] + np.arange(r))[:, None, :, None],
+                             (col0[ej, None] + np.arange(w))[None, :, None, :]]
+            u, sv, _ = np.linalg.svd(block, full_matrices=False)
+            keep = sv > 1 - PHASE_ATOL
+            for i, j in zip(*np.nonzero(keep.any(axis=2))):
+                hits[si[i], ej[j]] = spaces[si[i]] @ u[i, j][:, keep[i, j]]
+    return [hits[key] for key in sorted(hits)]
 
 
 def joint_eigenspaces(matrices) -> list:
     """Maximal simultaneous eigenspaces of a family of unitaries.
 
     Returns orthonormal column blocks; every common eigenvector lies in
-    exactly one of them.  Empty list when the family admits none.
+    exactly one of them.  Empty list when the family admits none.  The first
+    unitary's eigenspaces are the first refinement; each later unitary splits
+    every space through :func:`_refine`, spaces in order and within each the
+    unitary's eigenspaces in phase order.
     """
     mats = np.asarray(matrices, dtype=complex)
-    spaces = [np.eye(mats.shape[1], dtype=complex)]
-    for u in mats:
-        refined = []
-        eigs = _eigenspaces(u)
-        for s in spaces:
-            for e in eigs:
-                hit = _subspace_intersection(s, e)
-                if hit is not None:
-                    refined.append(hit)
-        spaces = refined
+    if len(mats) == 0:
+        return [np.eye(mats.shape[1], dtype=complex)]
+    spaces = _eigenspaces(mats[0])
+    for u in mats[1:]:
+        spaces = _refine(spaces, _eigenspaces(u))
         if not spaces:
             break
     return spaces
@@ -600,11 +732,20 @@ def _generating_set(group: grp.FiniteGroup) -> list:
     Every addition at least doubles the generated subgroup, so at most
     log2 #G elements are taken.
     """
-    gens, members = [], {group.identity}
+    gens = []
+    members = np.zeros(group.order, dtype=bool)
+    members[group.identity] = True
     for a in range(group.order):
-        if a not in members:
+        if not members[a]:
             gens.append(a)
-            members = set(grp.subgroup_generated(group, gens).members)
+            # the subgroup so far and a, closed under products: each pass
+            # squares the set, which holds the identity, until it stops growing
+            members[a] = True
+            grown = True
+            while grown:
+                held = np.flatnonzero(members)
+                members[group.mul[np.ix_(held, held)]] = True
+                grown = members.sum() > held.size
     return gens
 
 

@@ -189,3 +189,56 @@ def codim2_povm():
     line = linalg.span_orthonormalize([t1, t2])
     span = linalg.orthogonal_complement(line)
     return povm_with_span(4, selfadjoint_basis(span))
+
+
+def reference_eigenspaces(u):
+    """Eigenspaces of u in phase order, each cluster orthonormalized by its own QR."""
+    from covpovm.linalg import PHASE_ATOL
+
+    vals, vecs = np.linalg.eig(u)
+    n = len(vals)
+    used = np.zeros(n, dtype=bool)
+    spaces = []
+    for idx in np.argsort(np.angle(vals)):
+        if used[idx]:
+            continue
+        cluster = [i for i in range(n) if not used[i] and abs(vals[i] - vals[idx]) < PHASE_ATOL]
+        used[cluster] = True
+        spaces.append(np.linalg.qr(vecs[:, cluster])[0])
+    return spaces
+
+
+def reference_joint_eigenspaces(matrices):
+    """The pairwise refinement loop: every space against every eigenspace, one SVD each.
+
+    Starts from the identity frame and keeps the singular directions above
+    1 - PHASE_ATOL, spaces in order and within each the eigenspaces in
+    phase order.
+    """
+    from covpovm.linalg import PHASE_ATOL
+
+    mats = np.asarray(matrices, dtype=complex)
+    spaces = [np.eye(mats.shape[1], dtype=complex)]
+    for u in mats:
+        refined = []
+        eigs = reference_eigenspaces(u)
+        for s in spaces:
+            for e in eigs:
+                left, sv, _ = np.linalg.svd(s.conj().T @ e)
+                idx = np.nonzero(sv > 1 - PHASE_ATOL)[0]
+                if idx.size:
+                    refined.append(s @ left[:, idx])
+        spaces = refined
+        if not spaces:
+            break
+    return spaces
+
+
+def reference_generating_set(group):
+    """Greedy generators, each addition closed through a validated ``subgroup_generated``."""
+    gens, members = [], {group.identity}
+    for a in range(group.order):
+        if a not in members:
+            gens.append(a)
+            members = set(grp.subgroup_generated(group, gens).members)
+    return gens

@@ -1,11 +1,13 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covpovm import constructions as cx
 from covpovm import group as grp
 from covpovm import linalg
 from covpovm import rep as rp
@@ -13,7 +15,10 @@ from covpovm.errors import (
     DomainError, InconsistencyError, NotAProjectiveRepError, ShapeError,
 )
 
-from support import T_OPERATOR, haar_unitary, make_wh_rep, pic3_seed, wh_matrices
+from support import (
+    T_OPERATOR, haar_unitary, make_wh_rep, order8_groups, pic3_seed, reference_generating_set,
+    reference_joint_eigenspaces, wh_matrices,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -40,6 +45,17 @@ def first_failing_pair(group, mats):
         if np.abs(target - om / abs(om) * prod).max() > linalg.ATOL * d:
             return g, h
     return None
+
+
+def spied(name, record):
+    """Patch ``rep.<name>`` with a wrapper that appends each result to ``record``."""
+    original = getattr(rp, name)
+
+    def wrapper(*args):
+        record.append(original(*args))
+        return record[-1]
+
+    return mock.patch.object(rp, name, wrapper)
 
 
 class TestRepFromMatrices:
@@ -232,6 +248,67 @@ class TestRepFromMatrices:
         with pytest.raises(NotAProjectiveRepError) as err:
             rp._check_cocycle(g, omega)
         assert str(err.value) == f"cocycle identity fails (defect {defects[worst]:.3e})"
+
+    def test_wh15_skips_the_cocycle_check(self, monkeypatch):
+        # the product residuals bound every triple's defect: 225^3 triples unvisited
+        monkeypatch.setattr(rp, "_check_cocycle", lambda *args: pytest.fail("cocycle checked"))
+        g = grp.build_group("product(cyclic:15,cyclic:15)")
+        rep = rp.rep_from_matrices(g, cx.wh_displacements(15))
+        assert not rep.is_unitary_rep()
+
+    def test_residuals_near_tolerance_reach_the_cocycle_check(self):
+        # I, Z, X, XZ on C^2 (x) C^8, each non-identity matrix turned by
+        # exp(i eps H) for a random Hermitian H: exactly unitary, with product
+        # residuals at 0.8 ATOL d, where the bound exceeds PHASE_ATOL
+        g = grp.build_group("product(cyclic:2,cyclic:2)")
+        x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+        base = np.array([np.kron(m, np.eye(8)) for m in (np.eye(2), z, x, x @ z)], dtype=complex)
+        rng = np.random.default_rng(3)
+        herms = []
+        for _ in range(3):
+            a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+            herms.append(np.linalg.eigh(a + a.conj().T))
+
+        def turned(eps):
+            mats = base.copy()
+            for i, (vals, vecs) in enumerate(herms, start=1):
+                mats[i] = base[i] @ (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+            return mats
+
+        def residual(mats):
+            return max(r.max() for *_, r in rp._product_blocks(g, mats))
+
+        eps = 1e-12 * 0.8 * linalg.ATOL * 16 / residual(turned(1e-12))
+        mats = turned(eps)
+        f = np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(16)).max()
+        assert not rp._cocycle_certified(16, residual(mats), f)
+        calls = []
+        with spied("_check_cocycle", calls):
+            rep = rp.rep_from_matrices(g, mats)
+        assert len(calls) == 1
+        assert not rep.is_unitary_rep()
+
+    @SETTINGS
+    @given(d=st.integers(2, 4), exponent=st.floats(-12.0, -8.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_skipped_cocycle_check_would_pass(self, d, exponent, seed):
+        # twisted shift/clock with entrywise noise: whenever the bound skips
+        # the check, the check itself passes on the returned multiplier
+        rng = np.random.default_rng(seed)
+        g = grp.build_group(f"product(cyclic:{d},cyclic:{d})")
+        phases = np.exp(2j * np.pi * rng.random(d * d))
+        phases[g.identity] = 1.0
+        mats = phases[:, None, None] * np.array(wh_matrices(d))
+        noise = rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape)
+        mats += 10 ** exponent * noise
+        mats[g.identity] = np.eye(d)
+        calls = []
+        try:
+            with spied("_check_cocycle", calls):
+                rep = rp.rep_from_matrices(g, mats)
+        except (DomainError, NotAProjectiveRepError):
+            return
+        if not calls:
+            rp._check_cocycle(g, rep.multiplier)
 
     def test_json_round_trip(self, quat3_rep):
         back = rp.rep_from_json(rp.rep_to_json(quat3_rep))
@@ -463,6 +540,24 @@ class TestIrreps:
                     expected = 1.0 if a is b else 0.0
                     assert abs(ip - expected) < 1e-9
 
+    def test_dual_is_built_once_and_returned_as_a_fresh_list(self, monkeypatch):
+        g = grp.build_group("product(cyclic:3,quaternion)")
+        first = rp.irreps_of(g)
+        monkeypatch.setattr(rp, "_build_dual", lambda group: pytest.fail("dual rebuilt"))
+        second = rp.irreps_of(g)
+        assert first is not second
+        assert [i.name for i in second] == [i.name for i in first]
+        for a, b in zip(first, second):
+            assert np.array_equal(a.matrices, b.matrices)
+            assert np.array_equal(a.character, b.character)
+        second.pop()
+        assert len(rp.irreps_of(g)) == len(first)
+
+    def test_groups_of_one_kind_keep_their_own_duals(self):
+        groups = [grp.build_group("product(cyclic:2,cyclic:3)") for _ in range(2)]
+        for g in groups:
+            assert all(irr.group is g for irr in rp.irreps_of(g))
+
     def test_untagged_group_unsupported(self, quaternion):
         bare = grp.FiniteGroup(quaternion.names, quaternion.mul)
         with pytest.raises(NotImplementedError):
@@ -520,6 +615,37 @@ def tperp_columns():
     span_t = linalg.span_orthonormalize([T_OPERATOR])
     comp = linalg.orthogonal_complement(span_t)
     return np.stack([b.reshape(-1) for b in comp.basis], axis=1)
+
+
+def broken_projection_rep(fault):
+    """A rep on a cyclic group whose projections fail one check.
+
+    V(g) = sum_j chi_j(g) P_j has exactly the projections P_j, which need
+    not be those of a unitary rep.
+    """
+    if fault == "idempotent":
+        # trace 1 each, but P_0^2 != P_0
+        projs = [np.diag([0.5, 0.5]), np.diag([0.5, 0.5])]
+    elif fault == "rank":
+        # P_0 is an exact idempotent of trace 2 whose 2^31 entry puts
+        # its second singular value below the rank cut
+        c = 2.0 ** 31
+        p0 = np.array([[1, c, 0], [0, 0, 0], [0, 0, 1]])
+        projs = [p0, np.eye(3) - p0]
+    else:
+        # exact idempotents of rank 1 resolving the identity to 1e-10,
+        # the oblique P_0 amplifying that defect to 1e-8 in P_0 P_2
+        c = 100.0
+        p0 = np.array([[1, c, 0], [0, 0, 0], [0, 0, 0]])
+        p1 = np.array([[0, -c, 0], [0, 1, 0], [0, 0, 0]])
+        p2 = np.array([[0, 0, 0], [0, 0, 1e-10], [0, 0, 1]])
+        projs = [p0, p1, p2]
+    n = len(projs)
+    g = grp.cyclic_group(n)
+    # [g, j] -> chi_j(g), exactly +-1 on Z2 so that 2^31 entries stay exact
+    chars = np.real_if_close(np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n))
+    mats = np.einsum("gj,jab->gab", chars, np.array(projs, dtype=complex))
+    return rp.ProjectiveRep(g, mats.shape[1], mats, np.ones((n, n), dtype=complex))
 
 
 class TestIsotypicDecomposition:
@@ -588,34 +714,59 @@ class TestIsotypicDecomposition:
         ("orthogonal", "projections are not mutually orthogonal"),
     ])
     def test_broken_projections_named(self, fault, message):
-        # V(g) = sum_j chi_j(g) P_j on a cyclic group has exactly the
-        # projections P_j, which need not be those of a unitary rep
-        if fault == "idempotent":
-            # trace 1 each, but P_0^2 != P_0
-            projs = [np.diag([0.5, 0.5]), np.diag([0.5, 0.5])]
-        elif fault == "rank":
-            # P_0 is an exact idempotent of trace 2 whose 2^31 entry puts
-            # its second singular value below the rank cut
-            c = 2.0 ** 31
-            p0 = np.array([[1, c, 0], [0, 0, 0], [0, 0, 1]])
-            projs = [p0, np.eye(3) - p0]
-        else:
-            # exact idempotents of rank 1 resolving the identity to 1e-10,
-            # the oblique P_0 amplifying that defect to 1e-8 in P_0 P_2
-            c = 100.0
-            p0 = np.array([[1, c, 0], [0, 0, 0], [0, 0, 0]])
-            p1 = np.array([[0, -c, 0], [0, 1, 0], [0, 0, 0]])
-            p2 = np.array([[0, 0, 0], [0, 0, 1e-10], [0, 0, 1]])
-            projs = [p0, p1, p2]
-        n = len(projs)
-        g = grp.cyclic_group(n)
-        # [g, j] -> chi_j(g), exactly +-1 on Z2 so that 2^31 entries stay exact
-        chars = np.real_if_close(np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n))
-        mats = np.einsum("gj,jab->gab", chars, np.array(projs, dtype=complex))
-        rep = rp.ProjectiveRep(g, mats.shape[1], mats, np.ones((n, n), dtype=complex))
         with pytest.raises(InconsistencyError) as err:
-            rp.isotypic_decompose(rep)
+            rp.isotypic_decompose(broken_projection_rep(fault))
         assert str(err.value) == message
+
+    def test_oblique_projections_reach_the_pairwise_check(self):
+        verdicts = []
+        with spied("_orthogonality_certified", verdicts), \
+                pytest.raises(InconsistencyError) as err:
+            rp.isotypic_decompose(broken_projection_rep("orthogonal"))
+        assert verdicts == [False]
+        assert str(err.value) == "projections are not mutually orthogonal"
+
+    def test_defects_above_the_bound_are_checked_pairwise(self):
+        # orthogonal rank-1 projections under Hermitian noise of 2e-10: every
+        # check passes, but the defects put the certificate above ATOL
+        rng = np.random.default_rng(4)
+        projs = []
+        for j in range(3):
+            h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            projs.append(np.diag(np.eye(3)[j]) + 2e-10 * (h + h.conj().T) / 2)
+        g = grp.cyclic_group(3)
+        chars = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3)
+        mats = np.einsum("gj,jab->gab", chars, np.array(projs))
+        rep = rp.ProjectiveRep(g, 3, mats, np.ones((3, 3), dtype=complex))
+        verdicts = []
+        with spied("_orthogonality_certified", verdicts):
+            decomp = rp.isotypic_decompose(rep)
+        assert verdicts == [False]
+        assert [c.multiplicity for c in decomp.components] == [1, 1, 1]
+
+    def test_wh7_orthogonality_is_certified(self):
+        conj = rp.conjugation_rep(make_wh_rep(7))
+        verdicts = []
+        with spied("_orthogonality_certified", verdicts):
+            rp.isotypic_decompose(conj)
+        assert verdicts == [True]
+
+    @SETTINGS
+    @given(name=st.sampled_from(["wh2", "wh3", "wh4", "wh5", "quat3", "dihedral3"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_certified_projections_are_pairwise_orthogonal(
+            self, quat3_rep, dihedral3_rep, name, seed):
+        rep = conjugation_case(name, quat3_rep, dihedral3_rep)
+        v = haar_unitary(rep.dim, np.random.default_rng(seed))
+        moved = rp.rep_from_matrices(rep.group, v @ rep.matrices @ v.conj().T)
+        conj = rp.conjugation_rep(moved)
+        verdicts = []
+        with spied("_orthogonality_certified", verdicts):
+            projs = [c.projection for c in rp.isotypic_decompose(conj).components]
+        assert verdicts == [True]
+        worst = max(np.abs(projs[a] @ projs[b]).max()
+                    for a, b in itertools.permutations(range(len(projs)), 2))
+        assert worst <= linalg.ATOL
 
     @SETTINGS
     @given(name=st.sampled_from(["wh2", "wh3", "quat3", "dihedral3", "q8c3"]),
@@ -700,8 +851,80 @@ class TestJointEigenspaces:
         assert line.shape[1] == 1
         assert abs(abs(line[0, 0]) - 1) < 1e-9
 
+    @pytest.mark.parametrize("family", [
+        "diagonal", "wh2", "quat3", "cyclic6-twisted", "z2xz2-twisted", "wh3-twisted",
+        "wh4-twisted", "q8c3-twisted",
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_pairwise_loop(self, family, seed, quat3_rep, wh_rep_d2):
+        # in order and in projectors; a "-twisted" family is tried both on the
+        # phase-twisted rep and on the twisted regular generators built from it
+        families = {
+            "diagonal": [np.diag([1, 1j, -1]).astype(complex), np.diag([1j, 1, -1]).astype(complex)],
+            "wh2": wh_rep_d2.matrices,
+            "quat3": quat3_rep.matrices,
+        }
+        if family in families:
+            tried = [families[family]]
+        else:
+            rep = twisted_case(family.rsplit("-", 1)[0], seed)
+            tried = [rep.matrices, twisted_regular_generators(rep)]
+        for mats in tried:
+            spaces = rp.joint_eigenspaces(mats)
+            reference = reference_joint_eigenspaces(mats)
+            assert [s.shape for s in spaces] == [s.shape for s in reference]
+            for s, r in zip(spaces, reference):
+                assert np.abs(s @ s.conj().T - r @ r.conj().T).max() < 1e-12
+
+
+def twisted_case(name, seed):
+    """A phase-twisted rep: shift on Z6, diag(+-1) on Z2 x Z2, shift/clock or pi(q) chi(b)."""
+    if name == "cyclic6":
+        g = grp.cyclic_group(6)
+        base = np.array([np.roll(np.eye(6), k, axis=0) for k in range(6)])
+    elif name == "z2xz2":
+        g = grp.build_group("product(cyclic:2,cyclic:2)")
+        base = np.array([np.diag([1.0, (-1) ** a, (-1) ** b, (-1) ** (a + b)])
+                         for a in range(2) for b in range(2)])
+    elif name.startswith("wh"):
+        d = int(name[2:])
+        g = grp.build_group(f"product(cyclic:{d},cyclic:{d})")
+        base = np.array(wh_matrices(d))
+    else:
+        g = grp.build_group("product(quaternion,cyclic:3)")
+        chi = np.exp(2j * np.pi * np.arange(3) / 3)
+        base = np.array([q * c for q in grp.QUATERNION_MATRICES for c in chi])
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(g.order))
+    phases[g.identity] = 1.0
+    return rp.rep_from_matrices(g, phases[:, None, None] * base)
+
+
+def twisted_regular_generators(rep):
+    """L(a) e_h = conj(omega(a, h)) e_{ah} on the greedy generators, as the exactness test builds them."""
+    group, n = rep.group, rep.group.order
+    gens = rp._generating_set(group)
+    out = np.zeros((len(gens), n, n), dtype=complex)
+    out[np.arange(len(gens))[:, None], group.mul[gens], np.arange(n)] = np.conj(rep.multiplier[gens])
+    return out
+
 
 class TestExactMultiplier:
+    def test_generating_set_matches_the_subgroup_closure(self):
+        # the same generators in the same order as closing each prefix through
+        # subgroup_generated, also on a relabelled table whose identity is not 0
+        kinds = ("cyclic:1", "cyclic:12", "product(cyclic:3,cyclic:3)",
+                 "product(cyclic:2,cyclic:4,cyclic:6)", "product(quaternion,cyclic:3)",
+                 "product(quaternion,dihedral8)", "product(cyclic:15,cyclic:15)")
+        catalog = list(order8_groups().values()) + [grp.build_group(k) for k in kinds]
+        perm = np.random.default_rng(6).permutation(6)
+        z6 = grp.cyclic_group(6)
+        table = np.empty((6, 6), dtype=int)
+        table[perm[:, None], perm[None, :]] = perm[z6.mul]
+        catalog.append(grp.FiniteGroup(tuple(str(k) for k in range(6)), table))
+        assert catalog[-1].identity != 0
+        for g in catalog:
+            assert rp._generating_set(g) == reference_generating_set(g)
+
     def test_ordinary_rep_trivially_exact(self, quat3_rep):
         ok, f = rp.is_exact_multiplier(quat3_rep)
         assert ok
