@@ -407,16 +407,16 @@ def minimality_witness_dim3(povm: pv.Povm) -> Dim3MinimalityReport:
     if len(povm) != 8:
         raise DomainError(f"expected 8 outcomes, got {len(povm)}")
     table_min = MIN_OUTCOMES_BY_DIM[3]
-    span_dim = pv.operator_span(povm).dim
-    verdict = pv.check_pic(povm)
-    independent = span_dim == len(povm)
+    span = pv.operator_span(povm)
+    verdict = pv._pic_verdict(span, None)
+    independent = span.dim == len(povm)
     minimal = (
         len(povm) == table_min and independent and verdict.status == pv.PIC_CERTIFIED
     )
     return Dim3MinimalityReport(
         outcome_count=len(povm),
         table_minimum=table_min,
-        span_dim=span_dim,
+        span_dim=span.dim,
         effects_independent=independent,
         verdict=verdict,
         minimal=minimal,

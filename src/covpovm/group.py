@@ -254,21 +254,28 @@ def build_group(kind: str) -> FiniteGroup:
     raise DomainError(f"unknown group kind {kind!r}")
 
 
+def _closure(g: FiniteGroup, members: np.ndarray) -> np.ndarray:
+    """Close a boolean member mask under the product, in place, and return it.
+
+    The mask must hold the identity, so each pass, which squares the set,
+    keeps every member; the passes stop when the set stops growing.
+    """
+    grown = True
+    while grown:
+        held = np.flatnonzero(members)
+        members[g.mul[held[:, None], held]] = True
+        grown = np.count_nonzero(members) > held.size
+    return members
+
+
 def subgroup_generated(g: FiniteGroup, generators) -> Subgroup:
-    members = {g.identity}
-    frontier = [g.identity]
     gens = [int(x) for x in generators]
     for x in gens:
         if not 0 <= x < g.order:
             raise DomainError(f"generator index {x} out of range")
-    while frontier:
-        a = frontier.pop()
-        for x in gens:
-            for b in (g.op(a, x), g.op(x, a)):
-                if b not in members:
-                    members.add(b)
-                    frontier.append(b)
-    return Subgroup(g, tuple(members))
+    members = np.zeros(g.order, dtype=bool)
+    members[[g.identity, *gens]] = True
+    return Subgroup(g, tuple(np.flatnonzero(_closure(g, members))))
 
 
 def coset_space(g: FiniteGroup, h: Subgroup) -> CosetSpace:
@@ -286,7 +293,7 @@ def find_cyclic_transitive_subgroup(g: FiniteGroup, h: Subgroup):
     cosets = coset_space(g, h)
     for g0 in range(g.order):
         sub = subgroup_generated(g, [g0])
-        if np.unique(cosets.action[list(sub.members), 0]).size == cosets.size:
+        if np.bincount(cosets.action[list(sub.members), 0], minlength=cosets.size).all():
             return sub
     return None
 
@@ -308,40 +315,3 @@ def all_subgroups(g: FiniteGroup) -> list:
                 found[bigger.members] = bigger
                 frontier.append(bigger)
     return sorted(found.values(), key=lambda s: (s.order, s.members))
-
-
-def group_to_json(g: FiniteGroup) -> dict:
-    return {
-        "order": g.order,
-        "names": list(g.names),
-        "mul": g.mul.tolist(),
-    }
-
-
-def _is_json_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def group_from_json(data: dict) -> FiniteGroup:
-    for key in ("order", "names", "mul"):
-        if not isinstance(data, dict) or key not in data:
-            raise DomainError(f"group document lacks {key!r}")
-    order, names, mul = data["order"], data["names"], data["mul"]
-    if not _is_json_int(order):
-        raise DomainError(f"malformed group document: 'order' must be an integer, got {order!r}")
-    # a string would split into characters, a repeated name make index_of ambiguous
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise DomainError("malformed group document: 'names' must be a list of strings")
-    if len(set(names)) != len(names):
-        raise DomainError("malformed group document: 'names' repeats an element name")
-    if not isinstance(mul, list) or not all(
-        isinstance(row, list) and all(map(_is_json_int, row)) for row in mul
-    ):
-        raise DomainError("malformed group document: 'mul' must be a table of integers")
-    try:
-        mul = np.asarray(mul, dtype=int)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed group document ({exc})") from exc
-    if len(names) != order:
-        raise DomainError("order field disagrees with the name list")
-    return FiniteGroup(tuple(names), mul)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import group as grp
 from .errors import DomainError, InconsistencyError, NotAProjectiveRepError, ShapeError
-from .linalg import ATOL, PHASE_ATOL, _rank, decode_complex, encode_complex, numerical_rank
+from .linalg import ATOL, PHASE_ATOL, _rank, numerical_rank
 
 
 @dataclass(eq=False)
@@ -289,24 +289,6 @@ def restrict(rep: ProjectiveRep, columns: np.ndarray) -> ProjectiveRep:
     """
     b = np.asarray(columns, dtype=complex)
     return rep_from_matrices(rep.group, b.conj().T @ rep.matrices @ b)
-
-
-def rep_to_json(rep: ProjectiveRep) -> dict:
-    return {
-        "group": grp.group_to_json(rep.group),
-        "dim": rep.dim,
-        "matrices": encode_complex(rep.matrices),
-    }
-
-
-def rep_from_json(data: dict) -> ProjectiveRep:
-    for key in ("group", "matrices"):
-        if not isinstance(data, dict) or key not in data:
-            raise DomainError(f"representation document lacks {key!r}")
-    mats = decode_complex(data["matrices"], "'matrices'")
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise DomainError(f"'matrices' of shape {mats.shape} is no stack of square matrices")
-    return rep_from_matrices(grp.group_from_json(data["group"]), mats)
 
 
 # --- duals -----------------------------------------------------------------
@@ -738,14 +720,9 @@ def _generating_set(group: grp.FiniteGroup) -> list:
     for a in range(group.order):
         if not members[a]:
             gens.append(a)
-            # the subgroup so far and a, closed under products: each pass
-            # squares the set, which holds the identity, until it stops growing
+            # the subgroup so far and a, closed under products
             members[a] = True
-            grown = True
-            while grown:
-                held = np.flatnonzero(members)
-                members[group.mul[np.ix_(held, held)]] = True
-                grown = members.sum() > held.size
+            grp._closure(group, members)
     return gens
 
 

@@ -234,11 +234,39 @@ def reference_joint_eigenspaces(matrices):
     return spaces
 
 
+def relabelled_cyclic6():
+    """Z6 as a table whose identity is not element 0."""
+    perm = np.random.default_rng(6).permutation(6)
+    table = np.empty((6, 6), dtype=int)
+    table[perm[:, None], perm[None, :]] = perm[grp.cyclic_group(6).mul]
+    g = grp.FiniteGroup(tuple(str(k) for k in range(6)), table)
+    assert g.identity != 0
+    return g
+
+
+def reference_subgroup(g, gens):
+    """Members of the subgroup generated by ``gens``, sorted.
+
+    Grows the set from the identity by left and right products with every
+    generator, one element at a time, until no product is new.
+    """
+    members = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        a = frontier.pop()
+        for x in gens:
+            for b in (g.op(a, x), g.op(x, a)):
+                if b not in members:
+                    members.add(b)
+                    frontier.append(b)
+    return tuple(sorted(members))
+
+
 def reference_generating_set(group):
-    """Greedy generators, each addition closed through a validated ``subgroup_generated``."""
+    """Greedy generators, each addition closed through ``reference_subgroup``."""
     gens, members = [], {group.identity}
     for a in range(group.order):
         if a not in members:
             gens.append(a)
-            members = set(grp.subgroup_generated(group, gens).members)
+            members = set(reference_subgroup(group, gens))
     return gens

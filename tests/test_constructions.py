@@ -335,3 +335,23 @@ class TestMinimalityReport:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DomainError):
             cx.minimality_witness_dim3(pv.Povm(2, [("all", np.eye(2))]))
+
+    def test_one_span_per_report(self, monkeypatch):
+        # the verdict is decided on the span the report measures, not a second one
+        rep = cx.pic3_rep("quaternion")
+        povms = [cx.build_quat3_pic()[0], cx.build_dihedral3_pic()[0],
+                 pv.build_covariant(rep, full_cosets(rep.group), np.eye(3) / 8)]
+        calls = []
+
+        def counted(mats):
+            calls.append(len(mats))
+            return linalg.span_orthonormalize(mats)
+
+        monkeypatch.setattr(pv, "span_orthonormalize", counted)
+        for povm in povms:
+            calls.clear()
+            report = cx.minimality_witness_dim3(povm)
+            assert calls == [8]
+            verdict = pv._pic_verdict(linalg.span_orthonormalize(povm.ops), None)
+            assert (report.verdict.status, report.verdict.complement_dim) == \
+                (verdict.status, verdict.complement_dim)

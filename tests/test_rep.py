@@ -17,7 +17,7 @@ from covpovm.errors import (
 
 from support import (
     T_OPERATOR, haar_unitary, make_wh_rep, order8_groups, pic3_seed, reference_generating_set,
-    reference_joint_eigenspaces, wh_matrices,
+    reference_joint_eigenspaces, relabelled_cyclic6, wh_matrices,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -310,38 +310,12 @@ class TestRepFromMatrices:
         if not calls:
             rp._check_cocycle(g, rep.multiplier)
 
-    def test_json_round_trip(self, quat3_rep):
-        back = rp.rep_from_json(rp.rep_to_json(quat3_rep))
-        assert back.dim == 3
-        for a, b in zip(back.matrices, quat3_rep.matrices):
-            assert np.allclose(a, b)
-
     def test_matrices_are_one_array(self, quat3_rep, wh_rep_d3):
         for rep in (quat3_rep, wh_rep_d3, rp.regular_rep(quat3_rep.group)):
             n = rep.group.order
             assert isinstance(rep.matrices, np.ndarray)
             assert rep.matrices.shape == (n, rep.dim, rep.dim)
             assert rep.matrices.dtype == complex
-
-    @pytest.mark.parametrize("field", ["group", "matrices"])
-    def test_json_missing_field_named(self, quat3_rep, field):
-        data = rp.rep_to_json(quat3_rep)
-        del data[field]
-        with pytest.raises(DomainError, match=field):
-            rp.rep_from_json(data)
-
-    @pytest.mark.parametrize("matrices", [
-        "garbage",
-        [[[["1", 0]]]],
-        [[[[1, 0], [0, 0]], [[0, 0]]]],    # ragged rows
-        [[[[1, 0], [0, 0]]]],              # not square
-        [[[[1, 0, 0]]]],                   # not pairs
-    ])
-    def test_json_garbled_matrices_named(self, quat3_rep, matrices):
-        data = rp.rep_to_json(quat3_rep)
-        data["matrices"] = matrices
-        with pytest.raises(DomainError, match="matrices"):
-            rp.rep_from_json(data)
 
 
 class TestConjugationRep:
@@ -911,17 +885,12 @@ def twisted_regular_generators(rep):
 class TestExactMultiplier:
     def test_generating_set_matches_the_subgroup_closure(self):
         # the same generators in the same order as closing each prefix through
-        # subgroup_generated, also on a relabelled table whose identity is not 0
+        # the reference search, also on a relabelled table whose identity is not 0
         kinds = ("cyclic:1", "cyclic:12", "product(cyclic:3,cyclic:3)",
                  "product(cyclic:2,cyclic:4,cyclic:6)", "product(quaternion,cyclic:3)",
                  "product(quaternion,dihedral8)", "product(cyclic:15,cyclic:15)")
         catalog = list(order8_groups().values()) + [grp.build_group(k) for k in kinds]
-        perm = np.random.default_rng(6).permutation(6)
-        z6 = grp.cyclic_group(6)
-        table = np.empty((6, 6), dtype=int)
-        table[perm[:, None], perm[None, :]] = perm[z6.mul]
-        catalog.append(grp.FiniteGroup(tuple(str(k) for k in range(6)), table))
-        assert catalog[-1].identity != 0
+        catalog.append(relabelled_cyclic6())
         for g in catalog:
             assert rp._generating_set(g) == reference_generating_set(g)
 
