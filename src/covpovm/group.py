@@ -124,12 +124,14 @@ class Subgroup:
         for m in self.members:
             if not 0 <= m < g.order:
                 raise DomainError(f"element index {m} out of range")
-        mem = list(self.members)
-        if g.identity not in self.members:
+        mem = np.array(self.members, dtype=int)
+        held = np.zeros(g.order, dtype=bool)
+        held[mem] = True
+        if not held[g.identity]:
             raise DomainError("subgroup is missing the identity")
-        if not np.isin(g.inverse[mem], mem).all():
+        if not held[g.inverse[mem]].all():
             raise DomainError("subgroup is not closed under inversion")
-        if not np.isin(g.mul[np.ix_(mem, mem)], mem).all():
+        if not held[g.mul[mem[:, None], mem]].all():
             raise DomainError("subgroup is not closed under the product")
 
     @property

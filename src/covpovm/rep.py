@@ -2,8 +2,9 @@
 
 Covers multiplier extraction and exactness decisions, the conjugation
 representation on operator space, explicit duals for the supported groups,
-isotypic decompositions via the character projection formula, and the two
-cyclicity tests (direct orbit span vs. Schmidt rank per isotypic component).
+isotypic decompositions via the character projection formula, and
+cyclicity by the orbit span, with the Schmidt rank per isotypic component
+read off the same orbit matrix as the reference criterion.
 """
 
 from __future__ import annotations
@@ -412,12 +413,6 @@ class IsotypicDecomposition:
         raise KeyError(name)
 
 
-def _group_average(rep: ProjectiveRep, coeffs: np.ndarray) -> np.ndarray:
-    """(1/#G) sum_g coeffs[g] V(g), as one contraction over the stack."""
-    d = rep.dim
-    return (coeffs @ rep.matrices.reshape(-1, d * d)).reshape(d, d) / rep.group.order
-
-
 def isotypic_decompose(rep: ProjectiveRep) -> IsotypicDecomposition:
     """Split an ordinary unitary representation into isotypic blocks.
 
@@ -540,88 +535,65 @@ def is_cyclic_rep(decomp: IsotypicDecomposition) -> bool:
 
 # --- cyclic vectors ----------------------------------------------------------
 
-def _matrix_unit_projection(rep: ProjectiveRep, irr: Irrep, a: int, b: int) -> np.ndarray:
-    return _group_average(rep, irr.dim * np.conj(irr.matrices[:, a, b]))
+def _orbit(rep: ProjectiveRep, v) -> np.ndarray:
+    """The orbit matrix [g] -> V(g) v, which both cyclicity criteria read.
 
-
-def isotypic_bases(decomp: IsotypicDecomposition) -> list:
-    """Per component, an orthonormal basis organized as a dim x mult grid.
-
-    The matrix-unit projections E_ab act like e_ab (x) id on the isotypic
-    block.  An orthonormal basis of range(E_00) spans the multiplicity space
-    attached to the first irrep coordinate; pushing it through E_a0 fills in
-    the other coordinates.  Column a * mult + j of the returned matrix is the
-    basis vector at irrep coordinate a, multiplicity coordinate j, so the
-    coordinates of any vector reshape to the (dim x mult) Schmidt matrix.
-    """
-    rep = decomp.rep
-    out = []
-    for comp in decomp.components:
-        m = comp.multiplicity
-        if m == 0:
-            out.append(None)
-            continue
-        if comp.irrep.dim == 1:
-            e00 = comp.projection   # E_00 of a one-dimensional irrep is its projection
-        else:
-            e00 = _matrix_unit_projection(rep, comp.irrep, 0, 0)
-        vals, vecs = np.linalg.eigh((e00 + e00.conj().T) / 2)
-        keep = vals > 0.5
-        if int(keep.sum()) != m:
-            raise InconsistencyError(
-                f"rank of E_00 for {comp.irrep.name} is {int(keep.sum())}, expected {m}"
-            )
-        w = vecs[:, keep]
-        cols = [w]
-        for a in range(1, comp.irrep.dim):
-            cols.append(_matrix_unit_projection(rep, comp.irrep, a, 0) @ w)
-        basis = np.concatenate(cols, axis=1)
-        if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > PHASE_ATOL:
-            raise InconsistencyError("isotypic basis failed orthonormality")
-        out.append(basis)
-    return out
-
-
-def schmidt_ranks(decomp: IsotypicDecomposition, bases, v: np.ndarray) -> list:
-    ranks = []
-    for comp, basis in zip(decomp.components, bases):
-        if basis is None:
-            ranks.append(0)
-            continue
-        coords = basis.conj().T @ v
-        c = coords.reshape(comp.irrep.dim, comp.multiplicity)
-        ranks.append(numerical_rank(c))
-    return ranks
-
-
-def cyclic_by_span(rep: ProjectiveRep, v: np.ndarray) -> bool:
-    return numerical_rank(rep.matrices @ v) == rep.dim
-
-
-def cyclic_by_schmidt(decomp: IsotypicDecomposition, bases, v: np.ndarray) -> bool:
-    ranks = schmidt_ranks(decomp, bases, v)
-    return all(r == c.multiplicity for r, c in zip(ranks, decomp.components))
-
-
-def is_cyclic_vector(rep: ProjectiveRep, v, decomp=None) -> bool:
-    """Orbit-span cyclicity test, cross-checked against the Schmidt criterion.
-
-    The direct test asks whether {V(g) v} spans the space; the second route
-    demands Schmidt rank equal to multiplicity inside every isotypic block.
-    Disagreement between the two is a hard internal error.
+    ShapeError unless v lies in the representation space; DomainError unless
+    v is finite and so is the orbit's squared norm, which bounds every
+    singular value the rank rule reads.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (rep.dim,):
         raise ShapeError(f"vector of shape {v.shape} in dimension {rep.dim}")
-    direct = cyclic_by_span(rep, v)
-    if decomp is None:
-        decomp = isotypic_decompose(rep)
-    schmidt = cyclic_by_schmidt(decomp, isotypic_bases(decomp), v)
-    if direct != schmidt:
-        raise InconsistencyError(
-            f"span test says cyclic={direct} but Schmidt test says {schmidt}"
-        )
-    return direct
+    if not np.isfinite(v).all():
+        raise DomainError("vector has non-finite entries")
+    orbit = rep.matrices @ v
+    if not np.isfinite(np.vdot(orbit, orbit)):
+        raise DomainError("orbit of the vector overflows")
+    return orbit
+
+
+def schmidt_ranks(decomp: IsotypicDecomposition, v) -> list:
+    """Schmidt rank of v in each isotypic block, read off the orbit matrix.
+
+    The matrix unit E_0a = (dim/#G) sum_g conj(pi(g)_0a) V(g) maps the block
+    into the multiplicity space at irrep coordinate 0, and E_0a v holds row a
+    of v's (dim x mult) Schmidt matrix in that space.  So the rows E_0a v, one
+    contraction of the orbit per irrep, have the Schmidt matrix's singular
+    values, and the rank rule counts them.  A block of multiplicity 0 has
+    rank 0.
+    """
+    orbit = _orbit(decomp.rep, v)
+    n = decomp.rep.group.order
+    ranks = []
+    for comp in decomp.components:
+        if comp.multiplicity == 0:
+            ranks.append(0)
+            continue
+        irr = comp.irrep
+        rows = irr.dim * irr.matrices[:, 0, :].conj().T @ orbit / n   # [a] -> E_0a v
+        ranks.append(numerical_rank(rows))
+    return ranks
+
+
+def cyclic_by_span(rep: ProjectiveRep, v) -> bool:
+    return numerical_rank(_orbit(rep, v)) == rep.dim
+
+
+def cyclic_by_schmidt(decomp: IsotypicDecomposition, v) -> bool:
+    ranks = schmidt_ranks(decomp, v)
+    return all(r == c.multiplicity for r, c in zip(ranks, decomp.components))
+
+
+def is_cyclic_vector(rep: ProjectiveRep, v, decomp=None) -> bool:
+    """Whether the orbit {V(g) v} spans the representation space.
+
+    The orbit span ignores multiplier phases, so projective representations
+    are accepted.  For ordinary ones the Schmidt criterion
+    (:func:`cyclic_by_schmidt`) decides the same question and serves as the
+    reference route.  ``decomp`` is unused; it is kept for callers that pass it.
+    """
+    return cyclic_by_span(rep, v)
 
 
 # --- joint eigenspaces -------------------------------------------------------

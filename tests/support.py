@@ -270,3 +270,53 @@ def reference_generating_set(group):
             gens.append(a)
             members = set(reference_subgroup(group, gens))
     return gens
+
+
+def _matrix_unit(rep, irr, a, b):
+    """E_ab = (dim/#G) sum_g conj(pi(g)_ab) V(g), one group average over the stack."""
+    n, d = rep.group.order, rep.dim
+    coeffs = irr.dim * np.conj(irr.matrices[:, a, b])
+    return (coeffs @ rep.matrices.reshape(n, d * d)).reshape(d, d) / n
+
+
+def reference_schmidt_ranks(decomp, v):
+    """Schmidt ranks through explicit isotypic bases, one per component.
+
+    An orthonormal basis w of range(E_00), the eigenvectors of E_00 above 1/2,
+    spans the multiplicity space at irrep coordinate 0, and E_a0 w fills in
+    coordinate a.  Column a * mult + j of the basis sits at irrep coordinate a
+    and multiplicity coordinate j, so v's coordinates reshape to its
+    (dim x mult) Schmidt matrix.
+    """
+    from covpovm.linalg import PHASE_ATOL, numerical_rank
+
+    rep = decomp.rep
+    ranks = []
+    for comp in decomp.components:
+        irr, m = comp.irrep, comp.multiplicity
+        if m == 0:
+            ranks.append(0)
+            continue
+        e00 = _matrix_unit(rep, irr, 0, 0)
+        vals, vecs = np.linalg.eigh((e00 + e00.conj().T) / 2)
+        w = vecs[:, vals > 0.5]
+        assert w.shape[1] == m, irr.name
+        basis = np.concatenate([w] + [_matrix_unit(rep, irr, a, 0) @ w for a in range(1, irr.dim)],
+                               axis=1)
+        assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= PHASE_ATOL
+        ranks.append(numerical_rank((basis.conj().T @ v).reshape(irr.dim, m)))
+    return ranks
+
+
+def schmidt_deficient(decomp, v):
+    """v with its part in each block of irrep dimension and multiplicity >= 2 moved to E_00's range.
+
+    That part's Schmidt matrix keeps only row 0, so its rank drops to 1.
+    """
+    rep = decomp.rep
+    out = np.array(v, dtype=complex)
+    for comp in decomp.components:
+        if comp.irrep.dim >= 2 and comp.multiplicity >= 2:
+            part = comp.projection @ v
+            out += _matrix_unit(rep, comp.irrep, 0, 0) @ part - part
+    return out

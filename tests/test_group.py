@@ -116,6 +116,16 @@ class TestSubgroups:
         with pytest.raises(DomainError):
             grp.Subgroup(quaternion, (0, quaternion.index_of("i")))
 
+    @pytest.mark.parametrize("members, message", [
+        ((0, 8), "element index 8 out of range"),
+        ((2, 3), "missing the identity"),                         # {i, -i}
+        ((0, 2), "not closed under inversion"),                   # {1, i}
+        ((0, 2, 3, 4, 5), "not closed under the product"),        # {1, i, -i, j, -j}
+    ])
+    def test_each_subgroup_check_names_its_failure(self, quaternion, members, message):
+        with pytest.raises(DomainError, match=message):
+            grp.Subgroup(quaternion, members)
+
 
 class TestCosets:
     def test_quaternion_mod_center(self, quaternion):

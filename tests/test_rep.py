@@ -17,7 +17,8 @@ from covpovm.errors import (
 
 from support import (
     T_OPERATOR, haar_unitary, make_wh_rep, order8_groups, pic3_seed, reference_generating_set,
-    reference_joint_eigenspaces, relabelled_cyclic6, wh_matrices,
+    reference_joint_eigenspaces, reference_schmidt_ranks, relabelled_cyclic6, schmidt_deficient,
+    wh_matrices,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -796,16 +797,69 @@ class TestCyclicVectors:
         rng = np.random.default_rng(42)
         for rep in reps:
             decomp = rp.isotypic_decompose(rep)
-            bases = rp.isotypic_bases(decomp)
             for _ in range(30):
                 v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
                 a = rp.cyclic_by_span(rep, v)
-                b = rp.cyclic_by_schmidt(decomp, bases, v)
+                b = rp.cyclic_by_schmidt(decomp, v)
                 assert a == b
 
     def test_dimension_mismatch_rejected(self, quat3_rep):
         with pytest.raises(ShapeError):
             rp.is_cyclic_vector(quat3_rep, np.ones(5))
+
+    @pytest.mark.parametrize("vector", [[np.nan, 1], [np.inf, 1], [1e308, 1e308]],
+                             ids=["nan", "inf", "overflowing-orbit"])
+    def test_non_finite_vector_or_orbit_rejected(self, quaternion, vector):
+        rep = rp.rep_from_matrices(quaternion, grp.QUATERNION_MATRICES)
+        with pytest.raises(DomainError):
+            rp.is_cyclic_vector(rep, np.array(vector, dtype=complex))
+
+    def test_projective_rep_decided_by_the_orbit_span(self):
+        rep = cx.wh_rep(3)
+        assert not rep.is_unitary_rep()
+        assert rp.is_cyclic_vector(rep, np.eye(3)[0])
+        assert not rp.is_cyclic_vector(rep, np.zeros(3))
+
+    def test_cyclicity_needs_no_decomposition(self, quat3_rep, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the span test needs no Schmidt route")
+
+        monkeypatch.setattr(rp, "isotypic_decompose", refuse)
+        monkeypatch.setattr(rp, "schmidt_ranks", refuse)
+        conj = rp.conjugation_rep(quat3_rep)
+        assert not rp.is_cyclic_vector(conj, np.eye(3).reshape(-1))
+        assert rp.is_cyclic_vector(rp.restrict(conj, tperp_columns()), np.arange(1.0, 9.0))
+
+    def test_schmidt_ranks_match_the_basis_route(self, quaternion, dihedral, quat3_rep):
+        tilde = rp.conjugation_rep(quat3_rep)
+        reps = [
+            rp.conjugation_rep(rp.rep_from_matrices(quaternion, grp.QUATERNION_MATRICES)),
+            rp.conjugation_rep(rp.rep_from_matrices(dihedral, grp.DIHEDRAL8_MATRICES)),
+            rp.restrict(tilde, tperp_columns()),
+            tilde,
+            rp.regular_rep(quaternion),
+            rp.conjugation_rep(make_wh_rep(5)),
+        ]
+        rng = np.random.default_rng(26)
+        verdicts, deficient = set(), 0
+        for rep in reps:
+            decomp = rp.isotypic_decompose(rep)
+            projs = [c.projection for c in decomp.components if c.multiplicity]
+            for trial in range(24):
+                v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+                if trial % 3 == 1:   # restricted to a few components
+                    keep = rng.choice(len(projs), size=rng.integers(1, len(projs) + 1),
+                                      replace=False)
+                    v = sum(projs[k] for k in keep) @ v
+                elif trial % 3 == 2:
+                    v = schmidt_deficient(decomp, v)
+                ranks = rp.schmidt_ranks(decomp, v)
+                assert ranks == reference_schmidt_ranks(decomp, v)
+                deficient += any(0 < r < min(c.irrep.dim, c.multiplicity)
+                                 for r, c in zip(ranks, decomp.components))
+                verdicts.add(rp.cyclic_by_schmidt(decomp, v))
+        assert verdicts == {True, False}
+        assert deficient
 
 
 class TestJointEigenspaces:
