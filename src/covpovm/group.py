@@ -52,6 +52,8 @@ class FiniteGroup:
     inverse: np.ndarray = field(init=False)
     # the dual, built once by covpovm.rep.irreps_of
     _dual: tuple | None = field(default=None, init=False, repr=False)
+    # greedy generators and their word tree, built once by covpovm.rep._word_tree
+    _words: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.mul = np.asarray(self.mul, dtype=int)

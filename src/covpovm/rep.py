@@ -64,11 +64,14 @@ def _block_rows(n: int, per_row: int) -> int:
     return min(n, max(1, _BLOCK_ENTRIES // per_row))
 
 
-def _product_blocks(group: grp.FiniteGroup, stack: np.ndarray):
+def _product_blocks(group: grp.FiniteGroup, stack: np.ndarray, rows=None):
     """The product rule U(gh) = omega(g, h) U(g) U(h), one block of table rows at a time.
 
-    Yields ``(g0, om, defect, residual)`` for the rows g0, g0 + 1, ... of a
-    block, each a ``(rows, n)`` array over h: the estimate
+    ``rows`` holds the table rows g to check, every row in order by default
+    (the full scan); :func:`_generator_route` passes the identity and the
+    generators, whose residuals bound every derived row.
+    Yields ``(g, om, defect, residual)`` per block: g the block's row indices
+    and the rest ``(len(g), n)`` arrays over h: the estimate
     om = <U(g)U(h), U(gh)>_HS / d, divided by its modulus where
     defect = ||om| - 1| is within PHASE_ATOL, and the residual
     max |U(gh) - om U(g)U(h)|.  Raises nothing; the callers judge.
@@ -82,19 +85,20 @@ def _product_blocks(group: grp.FiniteGroup, stack: np.ndarray):
     where the default mode would stage a copy; a validated table never clips.
     """
     n, d = len(stack), stack.shape[1]
-    rows = _block_rows(n, n * d * d)
-    shape = (rows,) + stack.shape
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    per_block = _block_rows(n, n * d * d)
+    shape = (min(per_block, len(rows)),) + stack.shape
     prods_buf = np.empty(shape, dtype=complex)       # [g, h] -> U(g) U(h)
     targets_buf = np.empty(shape, dtype=complex)     # [g, h] -> U(gh)
     work_buf = np.empty(shape, dtype=complex)
     moduli_buf = np.empty(shape)
-    for g0 in range(0, n, rows):
-        g1 = min(g0 + rows, n)
-        k = g1 - g0
+    for i in range(0, len(rows), per_block):
+        g = rows[i:i + per_block]
+        k = len(g)
         prods, targets = prods_buf[:k], targets_buf[:k]
         work, moduli = work_buf[:k], moduli_buf[:k]
-        np.matmul(stack[g0:g1, None], stack, out=prods)
-        np.take(stack, group.mul[g0:g1], axis=0, out=targets, mode="clip")
+        np.matmul(stack[g, None], stack, out=prods)
+        np.take(stack, group.mul[g], axis=0, out=targets, mode="clip")
         np.conjugate(prods, out=work)
         work *= targets
         om = work.sum(axis=(2, 3)) / d
@@ -103,7 +107,7 @@ def _product_blocks(group: grp.FiniteGroup, stack: np.ndarray):
         om /= np.where(defect > PHASE_ATOL, 1.0, modulus)
         prods *= om[:, :, None, None]
         np.subtract(targets, prods, out=work)
-        yield g0, om, defect, np.abs(work, out=moduli).max(axis=(2, 3))
+        yield g, om, defect, np.abs(work, out=moduli).max(axis=(2, 3))
 
 
 def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
@@ -111,10 +115,20 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
 
     The scalar omega(g, h) is estimated as <U(g)U(h), U(gh)>_HS / d and the
     residual ||U(gh) - omega U(g)U(h)|| must vanish within ATOL; anything
-    larger means the matrices do not projectively represent the group.  A
-    block of table rows g is checked as one batched product
-    [g, h] -> U(g) U(h) (:func:`_product_blocks`), and the first failing pair
-    in row-major order is the one reported.
+    larger means the matrices do not projectively represent the group.
+
+    A table that fits one block of :func:`_product_blocks` is checked on
+    every pair in one pass (the full scan).  A larger one is checked on the
+    identity row and the rows of the greedy generating set S only, and every
+    other row is derived along the word tree of S (:func:`_word_tree`) by
+    omega(s g', h) = omega(s, g'h) omega(g', h) / omega(s, g').  With e the
+    largest generator-row residual, f = max |U*U - I| and
+    nu = sqrt(1 + d f), row g's Frobenius residual obeys
+    E(g) <= nu E(g') + d e (1 + nu); the table is accepted only when the
+    bounds :func:`_derived_bounds` draws from E imply that the full scan
+    would accept every pair.  Otherwise (a failing generator row, a bound
+    that misses) the full scan runs, so the verdict and the first failing
+    pair in row-major order, the one reported, are the full scan's.
 
     The cocycle identity follows from the product residuals.  With
     r(g, h) = U(gh) - omega(g, h) U(g)U(h) and M = U(g)U(h)U(k), expanding
@@ -128,7 +142,8 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     bound plus the rounding of the check's own products is within PHASE_ATOL
     the identity holds and :func:`_check_cocycle` is skipped; otherwise it
     runs over all triples, with its error.  A multiplier within ATOL of 1
-    meets the identity within 4 ATOL and skips it too.
+    meets the identity within 4 ATOL and skips it too.  On the derived route
+    e is the derived bound, which covers r for the returned table.
     """
     stack = _as_stack(matrices)
     if not np.all(np.isfinite(stack)):
@@ -143,19 +158,8 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
         raise DomainError("matrix is not unitary")
     if np.abs(stack[group.identity] - eye).max() > ATOL:
         raise DomainError("identity element must map to the identity matrix")
-    omega = np.empty((n, n), dtype=complex)
-    e = 0.0
-    for g0, om, defect, residual in _product_blocks(group, stack):
-        not_unimodular = defect > PHASE_ATOL
-        failed = not_unimodular | (residual > ATOL * max(1.0, d))
-        if failed.any():
-            r, h = divmod(int(np.argmax(failed)), n)   # row-major: first g, then h
-            pair = f"({group.names[g0 + r]}, {group.names[h]})"
-            if not_unimodular[r, h]:
-                raise NotAProjectiveRepError(f"multiplier at {pair} is not unimodular")
-            raise NotAProjectiveRepError(f"residual at {pair} exceeds tolerance")
-        omega[g0:g0 + len(om)] = om
-        e = max(e, residual.max())
+    derived = _generator_route(group, stack, f)
+    omega, e = derived[:2] if derived else _scan(group, stack)
     e0 = group.identity
     if np.abs(omega[e0, :] - 1).max() > PHASE_ATOL or np.abs(omega[:, e0] - 1).max() > PHASE_ATOL:
         raise NotAProjectiveRepError("multiplier is not normalized at the identity")
@@ -163,6 +167,137 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     if not (rep.is_unitary_rep() or _cocycle_certified(d, e, f)):
         _check_cocycle(group, omega)
     return rep
+
+
+def _scan(group: grp.FiniteGroup, stack: np.ndarray) -> tuple:
+    """The product rule on every pair: the multiplier table and the largest residual.
+
+    Raises at the first failing pair in row-major order.
+    """
+    n, d = stack.shape[:2]
+    omega = np.empty((n, n), dtype=complex)
+    e = 0.0
+    for g, om, defect, residual in _product_blocks(group, stack):
+        not_unimodular = defect > PHASE_ATOL
+        failed = not_unimodular | (residual > ATOL * max(1.0, d))
+        if failed.any():
+            r, h = divmod(int(np.argmax(failed)), n)   # row-major: first g, then h
+            pair = f"({group.names[g[r]]}, {group.names[h]})"
+            if not_unimodular[r, h]:
+                raise NotAProjectiveRepError(f"multiplier at {pair} is not unimodular")
+            raise NotAProjectiveRepError(f"residual at {pair} exceeds tolerance")
+        omega[g] = om
+        e = max(e, residual.max())
+    return omega, e
+
+
+def _word_tree(group: grp.FiniteGroup) -> tuple:
+    """Greedy generators S and their breadth-first word tree, built once per group.
+
+    Returns ``(gens, layers)``.  Layer 1 of the tree is S; ``layers`` holds
+    layers 2, 3, ... as ``(elements, generators, parents)`` index arrays with
+    element = generator * parent and each parent in the layer before, so
+    every element has a word s_1 ... s_k e.  Kept on the group beside its
+    dual.
+    """
+    if group._words is None:
+        gens = np.array(_generating_set(group), dtype=int)
+        reached = np.zeros(group.order, dtype=bool)
+        reached[group.identity] = True
+        reached[gens] = True
+        layers, frontier = [], gens
+        while not reached.all():
+            prods = group.mul[gens[:, None], frontier]          # [s, p] -> s p
+            fresh = ~reached[prods]
+            new, first = np.unique(prods[fresh], return_index=True)
+            s, p = (idx[first] for idx in np.nonzero(fresh))
+            layers.append((new, gens[s], frontier[p]))
+            reached[new] = True
+            frontier = new
+        group._words = (gens, tuple(layers))
+    return group._words
+
+
+def _generator_route(group: grp.FiniteGroup, stack: np.ndarray, f: float):
+    """The multiplier table from the generator rows, with bounds over every pair.
+
+    Returns ``(omega, e, delta)``, where e bounds max |U(gh) - om U(g)U(h)|
+    for om both the returned omega(g, h) and the full scan's estimate, and
+    delta bounds the full scan's ||om| - 1|, over all pairs.  Returns None,
+    and the full scan must run, when the table fits one block of
+    :func:`_product_blocks`, a generator row fails the product rule, or the
+    bounds of :func:`_derived_bounds` miss the scan's tolerances.  ``f`` is
+    max |U*U - I|.
+    """
+    n, d = stack.shape[:2]
+    if _block_rows(n, n * d * d) == n:
+        return None
+    gens, layers = _word_tree(group)
+    omega = np.empty((n, n), dtype=complex)
+    e = delta = 0.0
+    for g, om, defect, residual in _product_blocks(group, stack, np.append(group.identity, gens)):
+        block_e, block_delta = residual.max(), defect.max()
+        # written so that a NaN fails every comparison
+        if not (block_delta <= PHASE_ATOL and block_e <= ATOL * max(1.0, d)):
+            return None
+        omega[g] = om
+        e, delta = max(e, block_e), max(delta, block_delta)
+    mul = group.mul
+    for g, s, p in layers:
+        omega[g] = omega[s[:, None], mul[p]] * omega[p] / omega[s, p][:, None]
+    bounds = _derived_bounds(d, e, f, np.abs(np.abs(omega) - 1).max(), len(layers))
+    if bounds is None:
+        return None
+    return omega, bounds[0], max(delta, bounds[1])
+
+
+def _derived_bounds(d: int, e: float, f: float, drift: float, depth: int):
+    """Residual and defect bounds over a derived table, or None when they miss.
+
+    e is the largest generator-row residual, f = max |U*U - I|, drift the
+    largest ||omega(g, h)| - 1| of the derived table and depth the number of
+    derived layers.  For g = s g' the derivation of :func:`_generator_route`
+    gives, with R(g, h) = U(gh) - omega(g, h) U(g)U(h),
+    R(g, h) = R(s, g'h) + omega(s, g'h) U(s) R(g', h) - omega(g, h) R(s, g') U(h).
+    With ||U|| <= nu = sqrt(1 + d f) and ||R||_F <= d e on a computed row,
+    E(g) = max_h ||R(g, h)||_F obeys E(g) <= nu E(g') + d e (1 + nu), so E
+    grows by about 2 d e per layer.  Here each omega's modulus (at most
+    kappa = (1 + drift)^2 / (1 - drift)) is kept, e is raised by
+    d^2 eps (1 + d f) for the rounding of the residuals, and each layer by
+    8 eps kappa nu^2 sqrt(d) for the rounding of its three products.
+
+    With E the deepest layer's bound, phi = d f, P = U(g)U(h) and
+    Q = U(gh) = omega P + R, the full scan's estimate <P, Q>_HS / d is
+    omega ||P||_F^2 / d plus at most r = (1 + phi) E / sqrt(d), and
+    ||P||_F^2 / d lies in [(1 - phi)^2, (1 + phi)^2].  So the scan's defect
+    is at most (1 + drift)(1 + phi)^2 - 1 + r, its normalized estimate lies
+    within 2 r / ((1 - phi)^2 (1 - drift)) + drift of omega, and every entry
+    of its residual is at most that distance times sqrt(d) (1 + phi), plus
+    E.  Each is raised by 2 d^2 eps (1 + phi)^2 for the rounding of the
+    scan's own sums.  When the residual bound is within ATOL max(1, d) and
+    the defect bound within PHASE_ATOL, the full scan would have accepted
+    every pair, and ``(residual, defect)`` is returned.  The residual bound
+    is at least E, so it also bounds every entry of R for the derived table.
+    """
+    eps = np.finfo(float).eps
+    phi = d * f
+    # written so that a NaN fails every comparison
+    if not (phi < 1 and drift < 1):
+        return None
+    nu = np.sqrt(1 + phi)
+    kappa = (1 + drift) ** 2 / (1 - drift)
+    row = d * (e + d * d * eps * (1 + phi))
+    bound = row
+    for _ in range(depth):
+        bound = kappa * nu * (row + bound) + row + 8 * eps * kappa * nu * nu * np.sqrt(d)
+    r = (1 + phi) * bound / np.sqrt(d)
+    rounding = 2 * d * d * eps * (1 + phi) ** 2
+    phase = 2 * r / ((1 - phi) ** 2 * (1 - drift)) + drift
+    residual = phase * np.sqrt(d) * (1 + phi) + bound + rounding
+    defect = (1 + drift) * (1 + phi) ** 2 - 1 + r + rounding
+    if not (residual <= ATOL * max(1.0, d) and defect <= PHASE_ATOL):
+        return None
+    return residual, defect
 
 
 def _cocycle_certified(d: int, e: float, f: float) -> bool:
@@ -223,7 +358,10 @@ def conjugation_rep(rep: ProjectiveRep) -> ProjectiveRep:
     K is certified from U's own d x d products instead of by
     ``rep_from_matrices`` on the (d^2, d^2) stack.  With P = U(g)U(h),
     Q = U(gh), f = max |U*U - I|, e = max |Q - om P| and
-    delta = max ||om| - 1| over the table (om as in :func:`_product_blocks`),
+    delta = max ||om| - 1| over the table (om as in :func:`_product_blocks`;
+    on a table larger than one block, e and delta are the bounds that
+    :func:`_generator_route` derives from the generator rows, so no full
+    scan runs, and the full scan gives them only when those bounds miss),
     the mixed-product rule gives K(g)K(h) = kron(P, conj P), K*K =
     kron(U*U, conj(U*U)) and a multiplier |<P, Q>|^2 / d^2, real and
     positive.  So every check of ``rep_from_matrices`` on K holds when
@@ -266,10 +404,14 @@ def _conjugation_certified(group: grp.FiniteGroup, u: np.ndarray, k: np.ndarray)
     # written so that a NaN fails every comparison
     if not 2 * f + f * f + rounding <= ATOL * dk:
         return False
-    e = delta = 0.0
-    for _, _, defect, residual in _product_blocks(group, u):
-        e = max(e, residual.max())
-        delta = max(delta, defect.max())
+    derived = _generator_route(group, u, f)
+    if derived:
+        _, e, delta = derived
+    else:
+        e = delta = 0.0
+        for _, _, defect, residual in _product_blocks(group, u):
+            e = max(e, residual.max())
+            delta = max(delta, defect.max())
     return bool(2 * e * (1 + d * f) + e * e + rounding <= ATOL * dk
                 and delta * (2 + delta) + rounding <= PHASE_ATOL
                 and np.abs(k[group.identity] - np.eye(dk)).max() <= ATOL)
@@ -326,6 +468,23 @@ class Irrep:
             raise DomainError("character is not a class function")
 
 
+def _product_irrep(group: grp.FiniteGroup, name: str, matrices: np.ndarray) -> Irrep:
+    """An irrep of a direct product from the Kronecker product of validated factor irreps.
+
+    Not validated again: the product of unitary representations of the
+    factors is one of the product group, its character is the product of
+    theirs, so a class function, and its character norm is the product of
+    theirs, 1; none of :class:`Irrep`'s checks can fail.  The character is
+    read off the diagonal, as a validated irrep's is, so its bits (signed
+    zeros included) are the same.  :func:`_build_dual` still checks the
+    whole dual's completeness and character Gram.
+    """
+    irr = object.__new__(Irrep)
+    irr.group, irr.name, irr.dim, irr.matrices = group, name, matrices.shape[1], matrices
+    irr.character = np.trace(matrices, axis1=1, axis2=2)
+    return irr
+
+
 def _sign_character(group, name, plus_names):
     vals = [1.0 if nm in plus_names else -1.0 for nm in group.names]
     return Irrep(group, name, 1, np.reshape(vals, (-1, 1, 1)))
@@ -380,7 +539,7 @@ def _build_dual(group: grp.FiniteGroup) -> list:
                 mats = _kron(irr.matrices[:, None], mats[None])
                 mats = mats.reshape(-1, *mats.shape[-2:])
             name = "x".join(irr.name for irr in chosen)
-            out.append(Irrep(group, name, mats.shape[1], mats))
+            out.append(_product_irrep(group, name, mats))
     else:
         raise NotImplementedError(f"no dual construction for kind {kind!r}")
     total = sum(irr.dim ** 2 for irr in out)
@@ -598,14 +757,12 @@ def is_cyclic_vector(rep: ProjectiveRep, v, decomp=None) -> bool:
 
 # --- joint eigenspaces -------------------------------------------------------
 
-def _eigenspaces(u: np.ndarray) -> list:
-    """Orthonormal eigenspaces of u in phase order.
+def _phase_clusters(vals: np.ndarray) -> list:
+    """Index arrays of eigenvalue clusters in phase order.
 
     Each cluster gathers the unused eigenvalues within PHASE_ATOL of the
-    next one in phase order; clusters of one size are orthonormalized by one
-    batched QR.
+    next one in phase order.
     """
-    vals, vecs = np.linalg.eig(u)
     near = np.abs(vals[:, None] - vals[None, :]) < PHASE_ATOL
     used = np.zeros(len(vals), dtype=bool)
     clusters = []
@@ -614,6 +771,17 @@ def _eigenspaces(u: np.ndarray) -> list:
             cluster = np.flatnonzero(near[idx] & ~used)
             used[cluster] = True
             clusters.append(cluster)
+    return clusters
+
+
+def _eigenspaces(u: np.ndarray) -> list:
+    """Orthonormal eigenspaces of u in phase order.
+
+    Clusters follow :func:`_phase_clusters`; clusters of one size are
+    orthonormalized by one batched QR.
+    """
+    vals, vecs = np.linalg.eig(u)
+    clusters = _phase_clusters(vals)
     spaces = [None] * len(clusters)
     for w in {c.size for c in clusters}:
         which = [k for k, c in enumerate(clusters) if c.size == w]
@@ -698,6 +866,37 @@ def _generating_set(group: grp.FiniteGroup) -> list:
     return gens
 
 
+def _cycle_eigenspaces(group: grp.FiniteGroup, omega: np.ndarray, a: int) -> list:
+    """Eigenspaces of L(a) e_h = conj(omega(a, h)) e_{ah} in phase order, in closed form.
+
+    L(a) is monomial: it moves e_h along the cycle h, ah, ..., a^(l-1) h of
+    the right coset <a>h, l the order of a, with the phase
+    c_i = conj(omega(a, a^i h)) on step i.  On a cycle with phase product
+    C = c_0 ... c_(l-1) the eigenvalues are the l-th roots lambda of C, with
+    eigenvector x_i = c_0 ... c_(i-1) lambda^(-i) / sqrt(l) at a^i h: the
+    eigenvectors of one cycle are orthonormal by construction and cycles
+    are disjoint, so each cluster of :func:`_phase_clusters` is an
+    orthonormal basis of its eigenspace, with no eig and no QR.
+    """
+    n, mul = group.order, group.mul
+    powers = [group.identity]
+    while (nxt := mul[a, powers[-1]]) != group.identity:
+        powers.append(nxt)
+    ell = len(powers)
+    orbits = mul[powers]                                       # [i, h] -> a^i h
+    cycles = orbits[:, orbits.min(axis=0) == np.arange(n)].T  # [c, i], from each coset's least element
+    steps = np.conj(omega[a, cycles])                          # [c, i] -> c_i
+    prefix = np.ones_like(steps)                               # [c, i] -> c_0 ... c_(i-1)
+    np.cumprod(steps[:, :-1], axis=1, out=prefix[:, 1:])
+    theta = (np.angle(prefix[:, -1] * steps[:, -1])[:, None] + 2 * np.pi * np.arange(ell)) / ell
+    vecs = np.zeros((n, n), dtype=complex)
+    # column c l + k holds the eigenvector of root k on cycle c
+    cols = np.arange(n).reshape(len(cycles), ell)
+    vecs[cycles[:, None, :], cols[:, :, None]] = (
+        prefix[:, None, :] * np.exp(-1j * theta[:, :, None] * np.arange(ell)) / np.sqrt(ell))
+    return [vecs[:, c] for c in _phase_clusters(np.exp(1j * theta).ravel())]
+
+
 def is_exact_multiplier(rep: ProjectiveRep):
     """Decide whether the multiplier is a coboundary; return the phase if so.
 
@@ -708,22 +907,25 @@ def is_exact_multiplier(rep: ProjectiveRep):
     of sum_h f(h) e_h with eigenvalues conj(f); conversely a common
     eigenvector v with L(g) v = lambda(g) v gives
     omega(a, b) = lambda(ab) / (lambda(a) lambda(b)).  Eigenlines are sought
-    on a generating set only, since L(g) of any product is a scalar times a
-    product of generator matrices.  The returned phase f = conj(lambda) is
-    verified against the multiplier before use.
+    on the greedy generating set only, since L(g) of any product is a scalar
+    times a product of generator matrices.  Each generator's eigenspaces are
+    read off its cycles in closed form (:func:`_cycle_eigenspaces`), and the
+    spaces are intersected generator by generator through :func:`_refine`.
+    The returned phase f = conj(lambda) is verified against the multiplier
+    before use.
     """
     group = rep.group
     omega = rep.multiplier
     n = group.order
     if rep.is_unitary_rep():
         return True, np.ones(n, dtype=complex)
-    gens = _generating_set(group)
-    twisted = np.zeros((len(gens), n, n), dtype=complex)      # [a, ah, h]
-    twisted[np.arange(len(gens))[:, None], group.mul[gens], np.arange(n)] = np.conj(omega[gens])
-    lines = joint_eigenspaces(twisted)
-    if not lines:
-        return False, None
-    v = lines[0][:, 0]
+    spaces = [np.eye(n, dtype=complex)]
+    for k, a in enumerate(_word_tree(group)[0]):
+        eigs = _cycle_eigenspaces(group, omega, a)
+        spaces = _refine(spaces, eigs) if k else eigs
+        if not spaces:
+            return False, None
+    v = spaces[0][:, 0]
     lam = np.conj(v[group.mul] * omega) @ v              # [g] -> <v, L(g) v>
     f = np.conj(lam / np.abs(lam))
     if not _verify_phase(group, omega, f):

@@ -191,6 +191,49 @@ def codim2_povm():
     return povm_with_span(4, selfadjoint_basis(span))
 
 
+def reference_rep_from_matrices(group, matrices):
+    """Validation by the full scan: the product rule checked on every pair of the table.
+
+    The route ``rep_from_matrices`` takes for tables that fit one block, and
+    its fallback: the same checks and messages, in the same order, with the
+    multiplier read off every row.
+    """
+    from covpovm.errors import DomainError, NotAProjectiveRepError
+    from covpovm.linalg import ATOL, PHASE_ATOL
+
+    stack = rp._as_stack(matrices)
+    if not np.all(np.isfinite(stack)):
+        raise DomainError("representation matrices have non-finite entries")
+    n, d = group.order, stack.shape[1]
+    if len(stack) != n:
+        raise DomainError(f"need {n} matrices, got {len(stack)}")
+    f = np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d)).max()
+    if f > ATOL * max(1.0, d):
+        raise DomainError("matrix is not unitary")
+    if np.abs(stack[group.identity] - np.eye(d)).max() > ATOL:
+        raise DomainError("identity element must map to the identity matrix")
+    omega = np.empty((n, n), dtype=complex)
+    e = 0.0
+    for g, om, defect, residual in rp._product_blocks(group, stack):
+        not_unimodular = defect > PHASE_ATOL
+        failed = not_unimodular | (residual > ATOL * max(1.0, d))
+        if failed.any():
+            r, h = divmod(int(np.argmax(failed)), n)
+            pair = f"({group.names[g[r]]}, {group.names[h]})"
+            if not_unimodular[r, h]:
+                raise NotAProjectiveRepError(f"multiplier at {pair} is not unimodular")
+            raise NotAProjectiveRepError(f"residual at {pair} exceeds tolerance")
+        omega[g] = om
+        e = max(e, residual.max())
+    e0 = group.identity
+    if np.abs(omega[e0, :] - 1).max() > PHASE_ATOL or np.abs(omega[:, e0] - 1).max() > PHASE_ATOL:
+        raise NotAProjectiveRepError("multiplier is not normalized at the identity")
+    rep = rp.ProjectiveRep(group, d, stack, omega)
+    if not (rep.is_unitary_rep() or rp._cocycle_certified(d, e, f)):
+        rp._check_cocycle(group, omega)
+    return rep
+
+
 def reference_eigenspaces(u):
     """Eigenspaces of u in phase order, each cluster orthonormalized by its own QR."""
     from covpovm.linalg import PHASE_ATOL

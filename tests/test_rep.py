@@ -16,9 +16,9 @@ from covpovm.errors import (
 )
 
 from support import (
-    T_OPERATOR, haar_unitary, make_wh_rep, order8_groups, pic3_seed, reference_generating_set,
-    reference_joint_eigenspaces, reference_schmidt_ranks, relabelled_cyclic6, schmidt_deficient,
-    wh_matrices,
+    T_OPERATOR, haar_unitary, make_wh_rep, order8_groups, pic3_seed, reference_eigenspaces,
+    reference_generating_set, reference_joint_eigenspaces, reference_rep_from_matrices,
+    reference_schmidt_ranks, relabelled_cyclic6, schmidt_deficient, wh_matrices,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -216,21 +216,155 @@ class TestRepFromMatrices:
             rp.rep_from_matrices(g, mats)
         assert str(err.value) == message
 
-    def test_multiplier_across_blocks_is_the_row_expression(self):
-        # d = 5 shift/clock: 25 rows of 625 entries, 6 to a block, the last alone
-        rng = np.random.default_rng(12)
+    @staticmethod
+    def rotated_wh5(rng, noise=0.0):
+        """Phase-twisted, rotated d = 5 shift/clock: 25 rows of 625 entries, 6 to a block."""
         g = grp.build_group("product(cyclic:5,cyclic:5)")
         assert rp._block_rows(25, 25 * 25) == 6
         v = haar_unitary(5, rng)
         phases = np.exp(2j * np.pi * rng.random(25))
         phases[g.identity] = 1.0
-        mats = [c * v @ w @ v.conj().T for c, w in zip(phases, wh_matrices(5))]
+        mats = np.array([c * v @ w @ v.conj().T for c, w in zip(phases, wh_matrices(5))])
+        if noise:
+            mats += noise * (rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape))
+            mats[g.identity] = np.eye(5)
+        return g, mats
+
+    def test_multiplier_across_blocks_is_the_row_expression(self):
+        # the generator rows are computed and the rest derived along the word
+        # tree: every row meets the row expression within the certified bound
+        g, mats = self.rotated_wh5(np.random.default_rng(12))
         rep = rp.rep_from_matrices(g, mats)
         stack, d = rep.matrices, rep.dim
+        f = np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d)).max()
+        omega, bound, _ = rp._generator_route(g, stack, f)
+        assert np.array_equal(rep.multiplier, omega)
+        assert bound < 1e-10
+        for a in range(g.order):
+            om = np.sum(np.conj(stack[a] @ stack) * stack[g.mul[a]], axis=(1, 2)) / d
+            om /= np.abs(om)
+            assert np.abs(rep.multiplier[a] - om).max() <= bound
+
+    def test_derived_bound_grows_with_the_tree_depth(self):
+        # exact unitaries and a unimodular table: the recurrence
+        # eps(g) <= eps(g') + 2 d e per layer from d e on the generator rows
+        d, e = 4, 1e-13
+        for depth in (0, 1, 5, 20):
+            residual, defect = rp._derived_bounds(d, e, 0.0, 0.0, depth)
+            assert residual >= (2 * depth + 1) * d * e
+            assert defect >= (2 * depth + 1) * d * e / np.sqrt(d)
+        assert rp._derived_bounds(d, 1e-10, 0.0, 0.0, 20) is None
+
+    def test_fallback_multiplier_is_the_row_expression_bit_for_bit(self):
+        # entrywise noise of 1e-10: every generator row passes the product rule,
+        # but the derived bound misses ATOL d, so the full scan runs
+        g, mats = self.rotated_wh5(np.random.default_rng(12), noise=1e-10)
+        d = mats.shape[1]
+        rows = np.append(g.identity, rp._word_tree(g)[0])
+        assert max(r.max() for *_, r in rp._product_blocks(g, mats, rows)) <= linalg.ATOL * d
+        routes, scans = [], []
+        with spied("_generator_route", routes), spied("_scan", scans):
+            rep = rp.rep_from_matrices(g, mats)
+        assert routes == [None] and len(scans) == 1
+        stack = rep.matrices
         for a in range(g.order):
             om = np.sum(np.conj(stack[a] @ stack) * stack[g.mul[a]], axis=(1, 2)) / d
             om /= np.abs(om)
             assert np.array_equal(rep.multiplier[a], om)
+
+    @SETTINGS
+    @given(family=st.sampled_from(["wh2", "wh3", "wh4", "wh5", "wh6", "wh7",
+                                   "q8c3", "q8c5", "q8c7"]),
+           exponent=st.floats(-13.0, -8.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_generator_route_agrees_with_the_full_scan(self, family, exponent, seed):
+        # Haar-framed, phase-twisted reps with entrywise noise around ATOL d:
+        # the same verdict and message, and the same multiplier, bit for bit
+        # where the full scan ran and within the certified bound (or 1e-12)
+        # where the rows were derived
+        rng = np.random.default_rng(seed)
+        if family.startswith("wh"):
+            d = int(family[2:])
+            g = grp.build_group(f"product(cyclic:{d},cyclic:{d})")
+            base = np.array(wh_matrices(d))
+        else:
+            k = int(family[3:])
+            g = grp.build_group(f"product(quaternion,cyclic:{k})")
+            chi = np.exp(2j * np.pi * np.arange(k) / k)
+            base = np.array([q * c for q in grp.QUATERNION_MATRICES for c in chi])
+        d = base.shape[1]
+        v = haar_unitary(d, rng)
+        phases = np.exp(2j * np.pi * rng.random(g.order))
+        mats = phases[:, None, None] * (v @ base @ v.conj().T)
+        mats += 10 ** exponent * (rng.standard_normal(mats.shape)
+                                  + 1j * rng.standard_normal(mats.shape))
+        mats[g.identity] = np.eye(d)
+        outcomes = []
+        for validate in (rp.rep_from_matrices, reference_rep_from_matrices):
+            try:
+                outcomes.append(validate(g, mats))
+            except Exception as err:   # compared by type and message below
+                outcomes.append(err)
+        rep, ref = outcomes
+        if isinstance(ref, Exception):
+            assert type(rep) is type(ref) and str(rep) == str(ref)
+            return
+        f = np.abs(ref.matrices.conj().transpose(0, 2, 1) @ ref.matrices - np.eye(d)).max()
+        derived = rp._generator_route(g, ref.matrices, f)
+        if derived is None:
+            assert np.array_equal(rep.multiplier, ref.multiplier)
+        else:
+            assert np.abs(rep.multiplier - ref.multiplier).max() <= max(1e-12, derived[1])
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_wh_multiplier_is_the_closed_form(self, d):
+        # element (j, k) at index j d + k: omega = exp(-2 pi i k j' / d), on
+        # the full scan for d <= 4 and on the derived rows above
+        rep = cx.wh_rep(d)
+        j, k = np.divmod(np.arange(d * d), d)
+        expected = np.exp(-2j * np.pi * np.outer(k, j) / d)
+        assert (rp._block_rows(d * d, d ** 4) == d * d) == (d <= 4)
+        assert np.abs(rep.multiplier - expected).max() <= 1e-12
+
+    def test_wh15_forms_only_the_generator_rows(self):
+        products = []
+        blocks = rp._product_blocks
+
+        def counted(*args):
+            for block in blocks(*args):
+                products.append(block[1].size)
+                yield block
+
+        g = grp.build_group("product(cyclic:15,cyclic:15)")
+        with mock.patch.object(rp, "_product_blocks", counted):
+            rp.rep_from_matrices(g, cx.wh_displacements(15))
+        assert sum(products) <= (len(rp._word_tree(g)[0]) + 1) * g.order
+
+    def test_second_rep_reuses_the_word_tree(self, monkeypatch):
+        g = grp.build_group("product(cyclic:5,cyclic:5)")
+        rp.rep_from_matrices(g, wh_matrices(5))
+        words = g._words
+        assert words is not None
+        monkeypatch.setattr(rp, "_generating_set", lambda group: pytest.fail("S rebuilt"))
+        rep = rp.rep_from_matrices(g, self.rotated_wh5(np.random.default_rng(3))[1])
+        assert g._words is words
+        assert not rep.is_unitary_rep()
+
+    @pytest.mark.parametrize("kind", [
+        "cyclic:1", "cyclic:12", "product(cyclic:5,cyclic:5)", "product(quaternion,cyclic:3)",
+        "product(quaternion,dihedral8)", "product(cyclic:2,cyclic:4,cyclic:6)",
+    ])
+    def test_word_tree_reaches_every_element_once(self, kind):
+        g = grp.build_group(kind)
+        gens, layers = rp._word_tree(g)
+        assert gens.tolist() == rp._generating_set(g)
+        seen = [g.identity, *gens.tolist()]
+        previous = set(gens.tolist())
+        for elements, s, parents in layers:
+            assert np.array_equal(g.mul[s, parents], elements)
+            assert set(s.tolist()) <= set(gens.tolist()) and set(parents.tolist()) <= previous
+            seen += elements.tolist()
+            previous = set(elements.tolist())
+        assert sorted(seen) == list(range(g.order))
 
     def test_cocycle_defect_across_blocks(self):
         # 35 elements: 1225 entries a row, 3 rows to a block, the last block of 2;
@@ -435,6 +569,23 @@ class TestConjugationRep:
             direct = rp.rep_from_matrices(rep.group, stack)
             assert direct.is_unitary_rep()
 
+    def test_validated_rep_runs_no_full_scan(self):
+        # shift/clock at d = 7 spans 49 blocks of one row: its conjugation is
+        # certified from the identity and generator rows alone
+        rep = make_wh_rep(7)
+        calls = []
+        blocks = rp._product_blocks
+
+        def recorded(group, stack, rows=None):
+            calls.append(rows)
+            return blocks(group, stack, rows)
+
+        with mock.patch.object(rp, "_product_blocks", recorded):
+            out = rp.conjugation_rep(rep)
+        assert out.is_unitary_rep()
+        gens = rp._word_tree(rep.group)[0]
+        assert len(calls) == 1 and np.array_equal(calls[0], np.append(rep.group.identity, gens))
+
     def test_wh7_makes_no_49_dimensional_validation(self, monkeypatch):
         rep = make_wh_rep(7)
         dims = []
@@ -505,6 +656,15 @@ class TestIrreps:
                 reference.append(m)
             assert np.array_equal(irr.matrices, np.array(reference))
             assert np.array_equal(irr.character, np.array([np.trace(m) for m in reference]))
+
+    def test_product_irreps_are_not_validated_again(self):
+        # Z7 x Z7: the 14 factor irreps validate, their 49 products do not
+        validated = []
+        g = grp.build_group("product(cyclic:7,cyclic:7)")
+        with spied("rep_from_matrices", validated):
+            dual = rp.irreps_of(g)
+        assert len(dual) == 49 and len(validated) == 14
+        assert all(len(r.group.names) == 7 for r in validated)
 
     def test_schur_orthogonality(self, quaternion, dihedral):
         for g in (quaternion, dihedral):
@@ -936,6 +1096,22 @@ def twisted_regular_generators(rep):
     return out
 
 
+@pytest.mark.parametrize("family", ["cyclic6", "z2xz2", "wh3", "wh4", "q8c3"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cycle_eigenspaces_match_the_eig_route(family, seed):
+    # the closed form on each generator's cycles against eig and QR on the
+    # dense twisted regular generator: in phase order and in projectors
+    rep = twisted_case(family, seed)
+    gens = rp._generating_set(rep.group)
+    for a, mat in zip(gens, twisted_regular_generators(rep)):
+        spaces = rp._cycle_eigenspaces(rep.group, rep.multiplier, a)
+        reference = reference_eigenspaces(mat)
+        assert [s.shape for s in spaces] == [r.shape for r in reference]
+        for s, r in zip(spaces, reference):
+            assert np.abs(s.conj().T @ s - np.eye(s.shape[1])).max() < 1e-12
+            assert np.abs(s @ s.conj().T - r @ r.conj().T).max() < 1e-12
+
+
 class TestExactMultiplier:
     def test_generating_set_matches_the_subgroup_closure(self):
         # the same generators in the same order as closing each prefix through
@@ -1026,6 +1202,16 @@ class TestExactMultiplier:
         ok, f = rp.is_exact_multiplier(make_wh_rep(15))
         assert not ok
         assert f is None
+
+    def test_exactness_needs_no_eig(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the cycle eigenspaces need no eig")
+
+        rep = cx.wh_rep(15)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        assert rp.is_exact_multiplier(rep) == (False, None)
+        ok, f = rp.is_exact_multiplier(twisted_case("q8c3", 0))
+        assert ok and f.shape == (24,)
 
     def test_non_abelian_pauli_twist_is_not_exact(self):
         # quaternion x Z2 x Z2 acting by q (x) X^a Z^b: the Z2 x Z2 factor
