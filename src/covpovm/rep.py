@@ -2,13 +2,14 @@
 
 Covers multiplier extraction and exactness decisions, the conjugation
 representation on operator space, explicit duals for the supported groups,
-isotypic decompositions via the character projection formula, and
+isotypic decompositions by twirling a seeded draw into the commutant, and
 cyclicity by the orbit span, with the Schmidt rank per isotypic component
 read off the same orbit matrix as the reference criterion.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import group as grp
 from .errors import DomainError, InconsistencyError, NotAProjectiveRepError, ShapeError
-from .linalg import ATOL, PHASE_ATOL, _rank, numerical_rank
+from .linalg import ATOL, PHASE_ATOL, numerical_rank
 
 
 @dataclass(eq=False)
@@ -53,9 +54,9 @@ def _as_stack(matrices) -> np.ndarray:
     return stack
 
 
-# Entries per work array of the batched validators: at 16 bytes a complex
-# entry, 64 KiB, half of glibc's 128 KiB mmap threshold, so the buffers come
-# from the heap and a fresh process does not page-fault them in on every call.
+# Entries per work array of the batched validators and the twirl: at 16 bytes a
+# complex entry, 64 KiB, half of glibc's 128 KiB mmap threshold, so the buffers
+# come from the heap and a fresh process does not page-fault them in on every call.
 _BLOCK_ENTRIES = 4096
 
 
@@ -572,119 +573,77 @@ class IsotypicDecomposition:
         raise KeyError(name)
 
 
+_DRAWS = 3   # seeded draws of the twirl before isotypic_decompose gives up
+
+
+def _draw(t: int, d: int) -> np.ndarray:
+    """Complex Hermitian draw t: a real one gives each complex irrep its conjugate's eigenvalue."""
+    z = np.random.default_rng(t).standard_normal((d, d, 2)).view(complex)[..., 0]
+    return z + z.conj().T
+
+
 def isotypic_decompose(rep: ProjectiveRep) -> IsotypicDecomposition:
-    """Split an ordinary unitary representation into isotypic blocks.
+    """Split an ordinary unitary representation into isotypic blocks by Dixon's twirl.
 
-    Multiplicities come from the character inner product and must land on
-    nonnegative integers; projections use the conjugated character in the
-    coefficient, P = (dim/#G) sum_g conj(chi(g)) V(g), and are validated to
-    be idempotent, mutually orthogonal, and to resolve the identity.  All
-    projections are one contraction over the stack, idempotence is one
-    batched product and the ranks one batched SVD; each irrep's checks are
-    judged in dual order, as one irrep at a time would raise them.
-
-    Mutual orthogonality follows from the other checks.  With
-    D_a = P_a^2 - P_a, E = sum_b P_b - I and x the largest ||P_a P_c||_F
-    over a != c, writing P_a P_c through P_a E P_c gives
-    x <= alpha + (k - 2) x^2 for k projections, where
-    alpha = nu^2 (||E||_F + sum_b ||D_b||_F) + 2 nu max_b ||D_b||_F and
-    nu = max_a ||P_a||_F.  Separately,
-    ||P_b P_a||_F^2 = tr(P_b* P_b P_a P_a*) is bounded by |tr(P_a P_b)| plus
-    terms in D and the Hermiticity defects P - P*, from one (k, D^2) trace
-    Gram.  When that bound lies below the large root of the quadratic, x is
-    at most its small root, about alpha; every norm is raised by its
-    rounding.  When the small root is within ATOL the k (k - 1) / 2 pairwise
-    products are skipped; otherwise they run, with their error.
+    A seeded draw X is twirled into the commutant, T = (1/#G) sum_g V(g) X V(g)*; ``eigh(T)``
+    is cut where a gap exceeds PHASE_ATOL max |lambda|, and the staircase with eigenvalue c on
+    cluster c twirled again, so input defects reach its eigenvectors Q over gaps of 1, not
+    ||X|| / gap.  Q* V(g) Q must be block diagonal within ATOL (invariance), and each block's
+    trace have inner product within PHASE_ATOL of 1 with an irrep of its size (irreducibility);
+    else the next of three seeds is drawn, then the third's error raised.  Component a has its
+    matched blocks as multiplicity and Q_a Q_a* as projection, orthonormal by construction.
     """
     if not rep.is_unitary_rep():
         raise DomainError("isotypic decomposition needs a trivial multiplier")
-    n, d = rep.group.order, rep.dim
     irreps = irreps_of(rep.group)
-    chars = np.array([irr.character for irr in irreps])           # [a, g]
-    dims = np.array([irr.dim for irr in irreps])
-    mults = chars.conj() @ rep.character() / n
-    projs = ((dims[:, None] * chars.conj()) @ rep.matrices.reshape(n, d * d)
-             ).reshape(-1, d, d) / n
-    idempotence, idem_norms = _idempotence_defects(projs)
-    ranks = [_rank(s) for s in np.linalg.svd(projs, compute_uv=False)]
-    components = []
-    for irr, m, p, defect, rank in zip(irreps, mults, projs, idempotence, ranks):
-        if abs(m.imag) > PHASE_ATOL or abs(m.real - round(m.real)) > PHASE_ATOL or round(m.real) < 0:
-            raise InconsistencyError(
-                f"multiplicity of {irr.name} is {m}, not a nonnegative integer"
-            )
-        mult = int(round(m.real))
-        if defect > ATOL:
-            raise InconsistencyError(f"projection for {irr.name} is not idempotent")
-        if rank != irr.dim * mult:
-            raise InconsistencyError(f"projection rank mismatch for {irr.name}")
-        components.append(IsotypicComponent(irr, mult, p))
-    resolution = projs.sum(axis=0) - np.eye(d)
-    if np.abs(resolution).max() > ATOL:
-        raise InconsistencyError("projections do not resolve the identity")
-    if not _orthogonality_certified(projs, idem_norms, resolution):
-        for a in range(len(projs) - 1):
-            if np.abs(projs[a] @ projs[a + 1:]).max() > ATOL:
-                raise InconsistencyError("projections are not mutually orthogonal")
-    if sum(c.irrep.dim * c.multiplicity for c in components) != d:
-        raise InconsistencyError("multiplicities do not fill the space")
+    for t in range(_DRAWS - 1):
+        with contextlib.suppress(InconsistencyError):
+            return _twirl_decompose(rep, irreps, _draw(t, rep.dim))
+    return _twirl_decompose(rep, irreps, _draw(_DRAWS - 1, rep.dim))
+
+
+def _twirl_decompose(rep: ProjectiveRep, irreps: list, x: np.ndarray) -> IsotypicDecomposition:
+    """The decomposition of :func:`isotypic_decompose` from the draw x.
+
+    Each pass takes ``_block_rows(n, d^2)`` group elements at a time through two work arrays.
+    """
+    v, n, d = rep.matrices, rep.group.order, rep.dim
+    rows = _block_rows(n, d * d)
+    work, out = np.empty((rows, d, d), dtype=complex), np.empty((rows, d, d), dtype=complex)
+
+    def clusters(y):
+        twirl = np.zeros((d, d), dtype=complex)
+        for g0 in range(0, n, rows):
+            vb = v[g0:g0 + rows]
+            w = np.conjugate(np.matmul(vb, y, out=work[:len(vb)]), out=work[:len(vb)])
+            twirl += np.matmul(vb, w.transpose(0, 2, 1), out=out[:len(vb)]).sum(axis=0)
+        vals, q = np.linalg.eigh(twirl / n)                  # V Y V* = V (V Y)*, summed
+        return q, np.cumsum(np.append(0, np.diff(vals) > PHASE_ATOL * np.abs(vals).max()))
+
+    q, labels = clusters(x)
+    q, labels = clusters((q * labels) @ q.conj().T)
+    starts, qh = np.flatnonzero(np.diff(labels, prepend=-1)), q.conj().T
+    chars, defect = np.empty((n, len(starts)), dtype=complex), 0.0   # [g, c] -> block c's trace
+    for g0 in range(0, n, rows):
+        vb = v[g0:g0 + rows]
+        o = np.matmul(qh, np.matmul(vb, q, out=work[:len(vb)]), out=out[:len(vb)])
+        chars[g0:g0 + len(vb)] = np.add.reduceat(o.diagonal(axis1=1, axis2=2), starts, axis=1)
+        o *= labels[:, None] != labels                       # off the cluster blocks
+        defect = max(defect, np.abs(o).max())
+    if not defect <= ATOL:                                   # NaN fails too
+        raise InconsistencyError(f"twirled eigenspaces are not invariant ({defect:.3e})")
+    miss = np.abs(np.array([irr.character for irr in irreps]).conj() @ chars / n - 1)
+    match, sizes = miss.argmin(axis=0), np.bincount(labels)  # [c] -> nearest irrep, dimension
+    bad = (miss.min(axis=0) > PHASE_ATOL) | (np.array([irr.dim for irr in irreps])[match] != sizes)
+    if bad.any():
+        raise InconsistencyError(f"eigenspace of dimension {sizes[bad][0]} matches no irrep")
+    del work, out, o, chars                                  # freed before the projections
+    projs, components = np.zeros((len(irreps), d, d), dtype=complex), []
+    for a, irr in enumerate(irreps):
+        qa = q[:, match[labels] == a]
+        np.matmul(qa, qa.conj().T, out=projs[a])
+        components.append(IsotypicComponent(irr, qa.shape[1] // irr.dim, projs[a]))
     return IsotypicDecomposition(rep, components)
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a complex 2-d array, with no full-size temporary."""
-    return np.sqrt(np.einsum("ij,ij->i", x.real, x.real) + np.einsum("ij,ij->i", x.imag, x.imag))
-
-
-def _idempotence_defects(projs: np.ndarray) -> tuple:
-    """max |P_a^2 - P_a| and ||P_a^2 - P_a||_F for each projection of the stack.
-
-    Only the two (k,) results outlive the call, so the (k, D, D) defects are
-    freed before the batched rank SVD allocates its own copy of the stack.
-    """
-    idem = projs @ projs
-    idem -= projs
-    return np.abs(idem).max(axis=(1, 2)), _row_norms(idem.reshape(len(projs), -1))
-
-
-def _orthogonality_certified(projs: np.ndarray, idem_norms: np.ndarray,
-                             resolution: np.ndarray) -> bool:
-    """The orthogonality bound of :func:`isotypic_decompose`.
-
-    ``idem_norms`` holds ||P_a^2 - P_a||_F and ``resolution`` sum_a P_a - I.
-    """
-    k, dim = len(projs), projs.shape[1]
-    if k < 2:
-        return True
-    eps = np.finfo(float).eps
-    flat = projs.reshape(k, -1)
-    nu = _row_norms(flat)                               # ||P_a||_F
-    top = nu.max()
-    work = projs.transpose(0, 2, 1).reshape(k, -1)      # [a] -> P_a^T, flattened
-    gram = np.abs(flat @ work.T)                        # [a, b] -> tr(P_a P_b)
-    np.conjugate(work, out=work)
-    work -= flat                                        # [a] -> P_a* - P_a
-    # Frobenius norms of D_a, E and P_a - P_a*, each raised by its rounding
-    idem_norms = idem_norms + dim * eps * nu * nu
-    res_norm = np.linalg.norm(resolution) + k * eps * nu.sum()
-    herm_norms = _row_norms(work) + eps * nu
-    alpha = top * top * (res_norm + idem_norms.sum()) + 2 * top * idem_norms.max()
-    # ||P_b P_a||_F^2 <= |tr(P_a P_b)| + nu_a xi_b + xi_a nu_b + xi_a xi_b with
-    # xi_a = ||D_a||_F + ||P_a - P_a*||_F nu_a bounding both P_a P_a* - P_a and P_a* P_a - P_a
-    xi = idem_norms + herm_norms * nu
-    cross = np.outer(nu, xi)
-    squares = gram + dim * dim * eps * np.outer(nu, nu) + cross + cross.T + np.outer(xi, xi)
-    y = np.sqrt(squares[~np.eye(k, dtype=bool)].max())
-    beta = k - 2
-    disc = 1 - 4 * alpha * beta
-    # written so that a NaN fails every comparison
-    if not disc >= 0:
-        return False
-    root = np.sqrt(disc)
-    # y below the large root (1 + root) / (2 beta) leaves x at most the small one
-    if beta and not 2 * beta * y < 1 + root:
-        return False
-    return bool(2 * alpha / (1 + root) + dim * eps * top * top <= ATOL)
 
 
 def is_cyclic_rep(decomp: IsotypicDecomposition) -> bool:

@@ -234,6 +234,21 @@ def reference_rep_from_matrices(group, matrices):
     return rep
 
 
+def reference_isotypic_decompose(rep):
+    """The character-formula route, with no checks.
+
+    Multiplicity <chi_a, chi_V> / #G rounded to an integer, and projection
+    P_a = (dim_a / #G) sum_g conj(chi_a(g)) V(g), one irrep at a time.
+    """
+    n = rep.group.order
+    components = []
+    for irr in rp.irreps_of(rep.group):
+        mult = int(round((np.vdot(irr.character, rep.character()) / n).real))
+        proj = irr.dim * np.tensordot(np.conj(irr.character), rep.matrices, axes=1) / n
+        components.append(rp.IsotypicComponent(irr, mult, proj))
+    return rp.IsotypicDecomposition(rep, components)
+
+
 def reference_eigenspaces(u):
     """Eigenspaces of u in phase order, each cluster orthonormalized by its own QR."""
     from covpovm.linalg import PHASE_ATOL
