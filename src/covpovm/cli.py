@@ -191,14 +191,14 @@ def _cmd_analyze(args) -> int:
         raise CovPovmError(
             f"{args.file} is not valid JSON: line {exc.lineno}, column {exc.colno}"
         ) from exc
-    povm, validation = pv._read_povm(doc)
+    povm = pv.povm_from_json(doc)
     span = pv.operator_span(povm)
     verdicts: dict = {
         "dim": povm.dim,
         "outcomes": len(povm),
         "span_dim": span.dim,
         "complement_dim": povm.dim ** 2 - span.dim,
-        "validation": _validation_dict(validation),
+        "validation": _validation_dict(povm.validation),
         "ic": span.dim == povm.dim ** 2,
     }
     summary = f"{args.file}: span {span.dim}/{povm.dim ** 2}, ic={verdicts['ic']}"

@@ -48,12 +48,14 @@ class Povm:
     """Outcome-labelled family of operators on a d-dimensional space.
 
     Built from (label, op) pairs; holds the labels as a list of strings and
-    the effects as one ``(m, d, d)`` complex array ``ops``.
+    the effects as one ``(m, d, d)`` complex array ``ops``.  ``validation`` is
+    the report :func:`povm_from_json` passed, None for a Povm built directly.
     """
 
     def __init__(self, dim: int, outcomes):
         pairs = list(outcomes)
         self.dim = dim
+        self.validation: PovmValidation | None = None
         self.labels = [str(label) for label, _ in pairs]
         try:
             self.ops = np.array([op for _, op in pairs] or np.zeros((0, dim, dim)), dtype=complex)
@@ -497,11 +499,6 @@ def povm_to_json(povm: Povm) -> dict:
 
 def povm_from_json(data: dict) -> Povm:
     """Parse and validate the interchange schema; invalid operators are named."""
-    return _read_povm(data)[0]
-
-
-def _read_povm(data: dict) -> tuple[Povm, PovmValidation]:
-    """:func:`povm_from_json`, also returning the validation report it passed."""
     if not isinstance(data, dict):
         raise DomainError("malformed POVM document: not a JSON object")
     dim, raw = data.get("dim"), data.get("outcomes")
@@ -523,4 +520,5 @@ def _read_povm(data: dict) -> tuple[Povm, PovmValidation]:
             f"min eigenvalue {report.min_eigenvalue:.2e}, "
             f"normalization {report.normalization_defect:.2e})"
         )
-    return povm, report
+    povm.validation = report
+    return povm

@@ -27,14 +27,16 @@ class ProjectiveRep:
     ``matrices`` is one ``(n, d, d)`` array indexed by group element and
     ``multiplier`` is the full table omega; an ordinary unitary representation
     has multiplier identically one.  The constructor validates nothing:
-    :func:`rep_from_matrices` extracts and validates the multiplier, and
-    :func:`conjugation_rep` certifies its output from the input's products.
+    :func:`rep_from_matrices` extracts and validates the multiplier, keeps
+    the bounds (e, delta, f) it certified in ``_bounds`` for :func:`conjugation_rep`
+    and marks ``matrices`` read-only; a rep built directly keeps no bounds.
     """
 
     group: grp.FiniteGroup
     dim: int
     matrices: np.ndarray
     multiplier: np.ndarray
+    _bounds: tuple | None = field(default=None, init=False, repr=False)
 
     def is_unitary_rep(self) -> bool:
         return bool(np.abs(self.multiplier - 1).max() <= ATOL)
@@ -144,7 +146,9 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
     the identity holds and :func:`_check_cocycle` is skipped; otherwise it
     runs over all triples, with its error.  A multiplier within ATOL of 1
     meets the identity within 4 ATOL and skips it too.  On the derived route
-    e is the derived bound, which covers r for the returned table.
+    e is the derived bound, which covers r for the returned table.  The rep
+    keeps (e, delta, f), delta the largest ||om| - 1| or its derived bound,
+    and a read-only copy of the matrices.
     """
     stack = _as_stack(matrices)
     if not np.all(np.isfinite(stack)):
@@ -159,25 +163,26 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
         raise DomainError("matrix is not unitary")
     if np.abs(stack[group.identity] - eye).max() > ATOL:
         raise DomainError("identity element must map to the identity matrix")
-    derived = _generator_route(group, stack, f)
-    omega, e = derived[:2] if derived else _scan(group, stack)
+    omega, e, delta = _generator_route(group, stack, f) or _scan(group, stack)
     e0 = group.identity
     if np.abs(omega[e0, :] - 1).max() > PHASE_ATOL or np.abs(omega[:, e0] - 1).max() > PHASE_ATOL:
         raise NotAProjectiveRepError("multiplier is not normalized at the identity")
     rep = ProjectiveRep(group, d, stack, omega)
     if not (rep.is_unitary_rep() or _cocycle_certified(d, e, f)):
         _check_cocycle(group, omega)
+    stack.flags.writeable = False   # the bounds hold for these matrices only
+    rep._bounds = (e, delta, f)
     return rep
 
 
 def _scan(group: grp.FiniteGroup, stack: np.ndarray) -> tuple:
-    """The product rule on every pair: the multiplier table and the largest residual.
+    """The product rule on every pair: the multiplier table, the largest residual and defect.
 
     Raises at the first failing pair in row-major order.
     """
     n, d = stack.shape[:2]
     omega = np.empty((n, n), dtype=complex)
-    e = 0.0
+    e = delta = 0.0
     for g, om, defect, residual in _product_blocks(group, stack):
         not_unimodular = defect > PHASE_ATOL
         failed = not_unimodular | (residual > ATOL * max(1.0, d))
@@ -188,8 +193,8 @@ def _scan(group: grp.FiniteGroup, stack: np.ndarray) -> tuple:
                 raise NotAProjectiveRepError(f"multiplier at {pair} is not unimodular")
             raise NotAProjectiveRepError(f"residual at {pair} exceeds tolerance")
         omega[g] = om
-        e = max(e, residual.max())
-    return omega, e
+        e, delta = max(e, residual.max()), max(delta, defect.max())
+    return omega, e, delta
 
 
 def _word_tree(group: grp.FiniteGroup) -> tuple:
@@ -358,14 +363,12 @@ def conjugation_rep(rep: ProjectiveRep) -> ProjectiveRep:
 
     K is certified from U's own d x d products instead of by
     ``rep_from_matrices`` on the (d^2, d^2) stack.  With P = U(g)U(h),
-    Q = U(gh), f = max |U*U - I|, e = max |Q - om P| and
-    delta = max ||om| - 1| over the table (om as in :func:`_product_blocks`;
-    on a table larger than one block, e and delta are the bounds that
-    :func:`_generator_route` derives from the generator rows, so no full
-    scan runs, and the full scan gives them only when those bounds miss),
-    the mixed-product rule gives K(g)K(h) = kron(P, conj P), K*K =
-    kron(U*U, conj(U*U)) and a multiplier |<P, Q>|^2 / d^2, real and
-    positive.  So every check of ``rep_from_matrices`` on K holds when
+    Q = U(gh) and the bounds (e, delta, f) that ``rep_from_matrices`` kept
+    for U (e >= max |Q - om P|, delta >= max ||om| - 1|, f = max |U*U - I|,
+    om as in :func:`_product_blocks`), the mixed-product rule gives
+    K(g)K(h) = kron(P, conj P), K*K = kron(U*U, conj(U*U)) and a multiplier
+    |<P, Q>|^2 / d^2, real and positive.  So every check of
+    ``rep_from_matrices`` on K holds when
 
     - unitarity: 2f + f^2 <= ATOL d^2;
     - product residual: 2e(1 + d f) + e^2 <= ATOL d^2, as
@@ -376,46 +379,29 @@ def conjugation_rep(rep: ProjectiveRep) -> ProjectiveRep:
     each left side plus d^4 eps (1 + d f)^2 for the rounding of the
     d^4-term sums the direct check would form.  The normalized multiplier of
     K is then 1, so the identity normalization and the cocycle identity hold
-    too, and the table is returned as exactly one.  Anything not certified
-    goes to ``rep_from_matrices`` on K, with its errors.
+    too, and the table is returned as exactly one.  A rep without bounds, or
+    not certified, goes to ``rep_from_matrices`` on K, with its errors.
     """
     u = rep.matrices
     k = _kron(u, u.conj())
-    n = rep.group.order
-    if _conjugation_certified(rep.group, u, k):
-        return ProjectiveRep(rep.group, k.shape[1], k, np.ones((n, n), dtype=complex))
+    n, dk = rep.group.order, k.shape[-1]
+    if (rep._bounds is not None and _conjugation_certified(rep.dim, *rep._bounds)
+            and np.abs(k[rep.group.identity] - np.eye(dk)).max() <= ATOL):
+        return ProjectiveRep(rep.group, dk, k, np.ones((n, n), dtype=complex))
     out = rep_from_matrices(rep.group, k)
     if not out.is_unitary_rep():
         raise InconsistencyError("conjugation representation kept a multiplier")
     return out
 
 
-def _conjugation_certified(group: grp.FiniteGroup, u: np.ndarray, k: np.ndarray) -> bool:
-    """The bounds of :func:`conjugation_rep`.
-
-    False also unless U is one complex ``(n, d, d)`` array, the shape the
-    in-place gathers of :func:`_product_blocks` need.
-    """
-    d = u.shape[-1]
-    if u.dtype != complex or u.shape != (group.order, d, d):
-        return False
+def _conjugation_certified(d: int, e: float, delta: float, f: float) -> bool:
+    """The bounds of :func:`conjugation_rep` but the identity's, from U's e, delta and f."""
     dk = d * d
-    f = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)).max()
     rounding = dk * dk * np.finfo(float).eps * (1 + d * f) ** 2
     # written so that a NaN fails every comparison
-    if not 2 * f + f * f + rounding <= ATOL * dk:
-        return False
-    derived = _generator_route(group, u, f)
-    if derived:
-        _, e, delta = derived
-    else:
-        e = delta = 0.0
-        for _, _, defect, residual in _product_blocks(group, u):
-            e = max(e, residual.max())
-            delta = max(delta, defect.max())
-    return bool(2 * e * (1 + d * f) + e * e + rounding <= ATOL * dk
-                and delta * (2 + delta) + rounding <= PHASE_ATOL
-                and np.abs(k[group.identity] - np.eye(dk)).max() <= ATOL)
+    return bool(2 * f + f * f + rounding <= ATOL * dk
+                and 2 * e * (1 + d * f) + e * e + rounding <= ATOL * dk
+                and delta * (2 + delta) + rounding <= PHASE_ATOL)
 
 
 def regular_rep(group: grp.FiniteGroup) -> ProjectiveRep:
@@ -803,10 +789,6 @@ def _coboundary(group: grp.FiniteGroup, f: np.ndarray) -> np.ndarray:
     return f[:, None] * f[None, :] * np.conj(f[group.mul])
 
 
-def _verify_phase(group, omega, f) -> bool:
-    return bool(np.abs(_coboundary(group, f) - omega).max() <= ATOL)
-
-
 def _generating_set(group: grp.FiniteGroup) -> list:
     """Greedy generators: each element outside the subgroup of the earlier ones.
 
@@ -887,6 +869,6 @@ def is_exact_multiplier(rep: ProjectiveRep):
     v = spaces[0][:, 0]
     lam = np.conj(v[group.mul] * omega) @ v              # [g] -> <v, L(g) v>
     f = np.conj(lam / np.abs(lam))
-    if not _verify_phase(group, omega, f):
+    if not np.abs(_coboundary(group, f) - omega).max() <= ATOL:   # NaN fails too
         raise InconsistencyError("twisted regular eigenline failed phase verification")
     return True, f

@@ -609,6 +609,12 @@ class TestJson:
             assert np.array_equal(back.ops, povm.ops)
             assert np.array_equal(back.ops.view(np.int64), povm.ops.view(np.int64))
 
+    def test_parsed_povm_keeps_the_report_it_passed(self, wh3_observable):
+        assert wh3_observable.validation is None
+        back = pv.povm_from_json(pv.povm_to_json(wh3_observable))
+        assert back.validation.passed
+        assert back.validation == pv.validate(back)
+
     def test_non_psd_outcome_named(self):
         bad = {
             "dim": 2,

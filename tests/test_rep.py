@@ -49,6 +49,15 @@ def first_failing_pair(group, mats):
     return None
 
 
+def scan_bounds(group, mats):
+    """(e, delta, f) over every pair, from the product blocks of the full scan."""
+    f = np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(mats.shape[1])).max()
+    e = delta = 0.0
+    for _, _, defect, residual in rp._product_blocks(group, mats):
+        e, delta = max(e, residual.max()), max(delta, defect.max())
+    return e, delta, f
+
+
 def spied(name, record):
     """Patch ``rep.<name>`` with a wrapper that appends each result to ``record``."""
     original = getattr(rp, name)
@@ -536,8 +545,8 @@ class TestConjugationRep:
         signs = np.where(np.arange(16) % 2, -1.0, 1.0)
         mats = np.array([np.eye(16), np.diag((1 + 4e-8) * signs)], dtype=complex)
         rep = rp.ProjectiveRep(g, 16, mats, np.ones((2, 2), dtype=complex))
+        assert not rp._conjugation_certified(16, *scan_bounds(g, mats))
         stack = np.array([np.kron(u, u.conj()) for u in mats])
-        assert not rp._conjugation_certified(g, mats, stack)
         with pytest.raises(NotAProjectiveRepError) as direct:
             rp.rep_from_matrices(g, stack)
         with pytest.raises(NotAProjectiveRepError) as err:
@@ -545,12 +554,15 @@ class TestConjugationRep:
         assert str(err.value) == str(direct.value) == "multiplier at (0, 1) is not unimodular"
 
     def test_small_defects_are_certified_not_revalidated(self, monkeypatch):
-        # U off by ATOL in its product rule and unitarity: inside the K bounds
-        rep = make_wh_rep(3)
-        mats = rep.matrices * (1 + linalg.ATOL / 4)
-        mats[rep.group.identity] = np.eye(3)
+        # U off by ATOL / 4 in its product rule and unitarity: rep_from_matrices
+        # accepts it (e about 5e-10), and the kept bounds certify K
+        ref = make_wh_rep(3)
+        mats = ref.matrices * (1 + linalg.ATOL / 4)
+        mats[ref.group.identity] = np.eye(3)
+        rep = rp.rep_from_matrices(ref.group, mats)
+        assert 0 < rep._bounds[0] <= linalg.ATOL
         monkeypatch.setattr(rp, "rep_from_matrices", lambda *args: pytest.fail("revalidated"))
-        out = rp.conjugation_rep(rp.ProjectiveRep(rep.group, 3, mats, rep.multiplier))
+        out = rp.conjugation_rep(rep)
         assert np.array_equal(out.multiplier, np.ones((9, 9)))
 
     @SETTINGS
@@ -558,34 +570,67 @@ class TestConjugationRep:
            seed=st.integers(0, 2 ** 32 - 1), identity=st.booleans())
     def test_certificate_implies_the_direct_check(self, d, exponent, seed, identity):
         # noise around the tolerances: whatever is certified passes rep_from_matrices
-        rep = make_wh_rep(d)
+        ref = make_wh_rep(d)
         rng = np.random.default_rng(seed)
-        shape = rep.matrices.shape
-        mats = rep.matrices + 10 ** exponent * (rng.standard_normal(shape)
+        shape = ref.matrices.shape
+        mats = ref.matrices + 10 ** exponent * (rng.standard_normal(shape)
                                                 + 1j * rng.standard_normal(shape))
         if not identity:
-            mats[rep.group.identity] = np.eye(d)
-        stack = np.array([np.kron(u, u.conj()) for u in mats])
-        if rp._conjugation_certified(rep.group, mats, stack):
-            direct = rp.rep_from_matrices(rep.group, stack)
-            assert direct.is_unitary_rep()
+            mats[ref.group.identity] = np.eye(d)
+        try:
+            rep = rp.rep_from_matrices(ref.group, mats)
+        except (DomainError, NotAProjectiveRepError):
+            return
+        calls = []
+        try:
+            with spied("rep_from_matrices", calls):
+                rp.conjugation_rep(rep)
+        except (DomainError, NotAProjectiveRepError):
+            return   # not certified, and K refused as rep_from_matrices refuses it
+        if not calls:
+            stack = np.array([np.kron(u, u.conj()) for u in mats])
+            assert rp.rep_from_matrices(rep.group, stack).is_unitary_rep()
 
     def test_validated_rep_runs_no_full_scan(self):
         # shift/clock at d = 7 spans 49 blocks of one row: its conjugation is
-        # certified from the identity and generator rows alone
+        # certified from the bounds rep_from_matrices kept, with no product pass
         rep = make_wh_rep(7)
-        calls = []
-        blocks = rp._product_blocks
-
-        def recorded(group, stack, rows=None):
-            calls.append(rows)
-            return blocks(group, stack, rows)
-
-        with mock.patch.object(rp, "_product_blocks", recorded):
+        blocks, routes = [], []
+        with spied("_product_blocks", blocks), spied("_generator_route", routes):
             out = rp.conjugation_rep(rep)
         assert out.is_unitary_rep()
-        gens = rp._word_tree(rep.group)[0]
-        assert len(calls) == 1 and np.array_equal(calls[0], np.append(rep.group.identity, gens))
+        assert blocks == [] and routes == []
+
+    def test_kept_bounds_are_the_scan_maxima_on_one_block(self, quat3_rep):
+        assert quat3_rep._bounds == scan_bounds(quat3_rep.group, quat3_rep.matrices)
+
+    def test_kept_bounds_are_the_generator_route_bounds(self):
+        rep = make_wh_rep(7)
+        f = rep._bounds[2]
+        assert f == scan_bounds(rep.group, rep.matrices)[2]
+        _, e, delta = rp._generator_route(rep.group, rep.matrices, f)
+        assert rep._bounds == (e, delta, f)
+
+    def test_validated_matrices_are_read_only(self):
+        g = grp.build_group("product(cyclic:3,cyclic:3)")
+        mats = np.array(wh_matrices(3))
+        rep = rp.rep_from_matrices(g, mats)
+        assert not rep.matrices.flags.writeable
+        with pytest.raises(ValueError):
+            rep.matrices[0, 0, 0] = 2.0
+        assert mats.flags.writeable
+        mats[0, 0, 0] = 2.0   # the caller's array is not the validated copy
+        assert rep.matrices[0, 0, 0] == 1.0
+
+    def test_rep_without_bounds_is_validated_directly(self):
+        ref = make_wh_rep(4)
+        rep = rp.ProjectiveRep(ref.group, 4, np.array(wh_matrices(4)), ref.multiplier)
+        assert rep._bounds is None
+        calls = []
+        with spied("rep_from_matrices", calls):
+            out = rp.conjugation_rep(rep)
+        assert [c.dim for c in calls] == [16]
+        assert out.matrices.tobytes() == rp.conjugation_rep(ref).matrices.tobytes()
 
     def test_wh7_makes_no_49_dimensional_validation(self, monkeypatch):
         rep = make_wh_rep(7)
@@ -846,7 +891,7 @@ class TestIsotypicDecomposition:
         with pytest.raises(DomainError):
             rp.isotypic_decompose(wh_rep_d2)
 
-    def test_stacked_projections_match_the_per_irrep_average(self, quat3_rep, wh_rep_d3):
+    def test_projections_match_the_character_formula_per_irrep(self, quat3_rep, wh_rep_d3):
         # the twirl's Q_a Q_a* against the character formula, one irrep at a time
         for rep in (rp.conjugation_rep(quat3_rep), rp.conjugation_rep(wh_rep_d3)):
             ref = reference_isotypic_decompose(rep)
@@ -854,27 +899,19 @@ class TestIsotypicDecomposition:
                 assert np.abs(c.projection - r.projection).max() <= linalg.ATOL
                 assert c.projection.shape == (rep.dim, rep.dim)
 
-    @pytest.mark.parametrize("fault, broken", [
-        ("idempotent", "projection for chi0 is not idempotent"),
-        ("rank", "projection rank mismatch for chi0"),
-        ("orthogonal", "projections are not mutually orthogonal"),
-    ])
-    def test_broken_projections_named(self, fault, broken):
-        # ``broken`` names the fault of the fixture's character projections; V(1) = 0
+    @pytest.mark.parametrize("fault, message", [
+        ("idempotent", "eigenspace of dimension 1 matches no irrep"),
+        ("rank", "twirled eigenspaces are not invariant"),
+        ("orthogonal", "twirled eigenspaces are not invariant"),
+    ], ids=["idempotent", "rank", "orthogonal"])
+    def test_broken_rep_fails_the_twirl_checks(self, fault, message):
+        # ``fault`` names the fault of the fixture's character projections; V(1) = 0
         # leaves every eigenspace invariant, and the oblique projections leave none
-        message = {"idempotent": "eigenspace of dimension 1 matches no irrep",
-                   "rank": "twirled eigenspaces are not invariant",
-                   "orthogonal": "twirled eigenspaces are not invariant"}[fault]
         with pytest.raises(InconsistencyError) as err:
             rp.isotypic_decompose(broken_projection_rep(fault))
         assert str(err.value).startswith(message)
 
-    def test_oblique_projections_reach_the_pairwise_check(self):
-        with pytest.raises(InconsistencyError) as err:
-            rp.isotypic_decompose(broken_projection_rep("orthogonal"))
-        assert str(err.value).startswith("twirled eigenspaces are not invariant")
-
-    def test_defects_above_the_bound_are_checked_pairwise(self):
+    def test_noisy_projections_are_resolved_by_the_staircase_twirl(self):
         # orthogonal rank-1 projections under Hermitian noise of 2e-10: the
         # first twirl's frame misses invariance by up to 4e-8 on these draws,
         # the staircase's by about 6e-10
@@ -890,7 +927,7 @@ class TestIsotypicDecomposition:
         decomp = rp.isotypic_decompose(rep)
         assert [c.multiplicity for c in decomp.components] == [1, 1, 1]
 
-    def test_wh7_orthogonality_is_certified(self):
+    def test_wh7_projections_are_pairwise_orthogonal(self):
         projs = [c.projection for c in
                  rp.isotypic_decompose(rp.conjugation_rep(make_wh_rep(7))).components]
         assert max(np.abs(projs[a] @ projs[b]).max()
@@ -899,7 +936,7 @@ class TestIsotypicDecomposition:
     @SETTINGS
     @given(name=st.sampled_from(["wh2", "wh3", "wh4", "wh5", "quat3", "dihedral3"]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_certified_projections_are_pairwise_orthogonal(
+    def test_haar_frame_projections_are_pairwise_orthogonal(
             self, quat3_rep, dihedral3_rep, name, seed):
         rep = conjugation_case(name, quat3_rep, dihedral3_rep)
         v = haar_unitary(rep.dim, np.random.default_rng(seed))
