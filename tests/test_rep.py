@@ -899,17 +899,25 @@ class TestIsotypicDecomposition:
                 assert np.abs(c.projection - r.projection).max() <= linalg.ATOL
                 assert c.projection.shape == (rep.dim, rep.dim)
 
-    @pytest.mark.parametrize("fault, message", [
-        ("idempotent", "eigenspace of dimension 1 matches no irrep"),
-        ("rank", "twirled eigenspaces are not invariant"),
-        ("orthogonal", "twirled eigenspaces are not invariant"),
-    ], ids=["idempotent", "rank", "orthogonal"])
-    def test_broken_rep_fails_the_twirl_checks(self, fault, message):
-        # ``fault`` names the fault of the fixture's character projections; V(1) = 0
+    @pytest.mark.parametrize("fault, broken", [
+        ("idempotent", "projection for chi0 is not idempotent"),
+        ("rank", "projection rank mismatch for chi0"),
+        ("orthogonal", "projections are not mutually orthogonal"),
+    ])
+    def test_broken_projections_named(self, fault, broken):
+        # ``broken`` names the fault of the fixture's character projections; V(1) = 0
         # leaves every eigenspace invariant, and the oblique projections leave none
+        message = {"idempotent": "eigenspace of dimension 1 matches no irrep",
+                   "rank": "twirled eigenspaces are not invariant",
+                   "orthogonal": "twirled eigenspaces are not invariant"}[fault]
         with pytest.raises(InconsistencyError) as err:
             rp.isotypic_decompose(broken_projection_rep(fault))
         assert str(err.value).startswith(message)
+
+    def test_oblique_projections_reach_the_pairwise_check(self):
+        with pytest.raises(InconsistencyError) as err:
+            rp.isotypic_decompose(broken_projection_rep("orthogonal"))
+        assert str(err.value).startswith("twirled eigenspaces are not invariant")
 
     def test_noisy_projections_are_resolved_by_the_staircase_twirl(self):
         # orthogonal rank-1 projections under Hermitian noise of 2e-10: the
