@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NotAnObservableError
 from .linalg import (
     ATOL, ZERO_ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex, hs_norm,
-    orthogonal_complement, psd_defects, require_psd, sigma3, span_orthonormalize,
+    orthogonal_complement, require_psd, sigma3, span_orthonormalize,
 )
 
 if TYPE_CHECKING:  # annotations only; rep and group load on first use
@@ -95,20 +94,21 @@ class PovmValidation:
 
 
 def validate(povm: Povm) -> PovmValidation:
-    """Hermiticity, positivity, and normalization residuals of a POVM."""
-    herm = 0.0
-    min_eig = np.inf
+    """Hermiticity, positivity, and normalization residuals of a POVM.
+
+    ``worst_label`` is the outcome of lowest eigenvalue if below -ATOL, else of
+    largest hermiticity defect if above ATOL, else None (only the sum can fail).
+    """
+    adjoint = povm.ops.conj().transpose(0, 2, 1)
+    defects = [hs_norm(a) for a in povm.ops - adjoint]
+    lows = np.linalg.eigvalsh((povm.ops + adjoint) / 2)[:, 0]
+    herm, min_eig = max(defects, default=0.0), float(lows.min(initial=np.inf))
     worst = None
-    for label, op in zip(povm.labels, povm.ops):
-        defect, low = psd_defects(op)
-        if defect > herm:
-            herm, worst = defect, label
-        if low < min_eig:
-            min_eig = low
-            if low < -ATOL:
-                worst = label
-    norm_defect = hs_norm(povm.ops.sum(axis=0) - np.eye(povm.dim))
-    return PovmValidation(herm, min_eig, norm_defect, worst)
+    if min_eig < -ATOL:
+        worst = povm.labels[np.argmin(lows)]
+    elif herm > ATOL:
+        worst = povm.labels[np.argmax(defects)]
+    return PovmValidation(herm, min_eig, hs_norm(povm.ops.sum(axis=0) - np.eye(povm.dim)), worst)
 
 
 def operator_span(povm: Povm) -> OperatorSubspace:
@@ -281,18 +281,17 @@ class PicVerdict:
     certificate: dict | None = None
 
 
-def _complement_basis(span: OperatorSubspace) -> tuple[np.ndarray, float]:
-    """Hermitian basis of the span's traceless complement, and |G - I|_HS for its Gram matrix G.
+def _complement_basis(span: OperatorSubspace) -> np.ndarray:
+    """Hermitian basis of the span's traceless complement, orthonormal up to rounding.
 
     Pure-state differences are traceless.  An observable's span holds I, so its
     complement is; otherwise I's projection is rotated out, keeping the basis orthonormal.
     """
     basis = orthogonal_complement(span).basis
-    gram_defect = hs_norm(np.einsum("iab,jab->ij", basis.conj(), basis).real - np.eye(len(basis)))
     trace = np.einsum("kii->k", basis).real
     if math.sqrt(trace @ trace) > ATOL:
         basis = np.einsum("jk,kab->jab", np.linalg.svd(trace[None])[2][1:], basis)
-    return basis, gram_defect
+    return basis
 
 
 def _witness(basis: np.ndarray, v: np.ndarray, restart: int = 0) -> FalsifierResult:
@@ -370,52 +369,29 @@ def falsify(span: OperatorSubspace, settings: FalsifierSettings | None = None) -
     point, with their residual against the span.  Deterministic for a fixed
     seed; ties go to the earliest restart.
     """
-    return _search(_complement_basis(span)[0], settings or FalsifierSettings())
+    return _search(_complement_basis(span), settings or FalsifierSettings())
 
 
-@cache
-def _largest_coverable_dim(budget: int) -> int:
-    """Largest complement dimension c whose sphere a cover of ``budget`` points could cover.
-
-    sigma_3 of a unit-norm H is at most 1/sqrt(3), the top three squared
-    |eigenvalues| summing to at most ||H||_HS^2 = 1, so a certified cell lies in a
-    cap of chordal radius below 1/sqrt(3).  The c start faces cover half of
-    S^{c-1}, so a cover needs N >= 1 / (2 cap) certified leaves, and c
-    bisection trees with N leaves have 2N - c nodes, one evaluated centre each.
-    The cap's share of the sphere is int_0^t sin^(c-2) / int_0^pi sin^(c-2),
-    integrated by the recursion n J_n = (n-1) J_(n-2) - sin^(n-1) cos.
-    """
-    theta = 2 * math.asin(1 / (2 * math.sqrt(3)))
-    cap, sphere = [theta, 1 - math.cos(theta)], [math.pi, 2.0]  # J_0 and J_1 over [0, t]
-    n = 0  # the sphere S^{n+1}, complement dimension n + 2
-    while 2 * math.ceil(sphere[n] / (2 * cap[n])) - (n + 2) <= budget:
-        n += 1
-        if n >= 2:
-            cap.append(((n - 1) * cap[n - 2] - math.sin(theta) ** (n - 1) * math.cos(theta)) / n)
-            sphere.append((n - 1) * sphere[n - 2] / n)
-    return n + 1
-
-
-def _cover(basis: np.ndarray, gram_defect: float) -> dict | np.ndarray | None:
+def _cover(basis: np.ndarray) -> dict | FalsifierResult | None:
     """Certify sigma_3(H(x)) > 0 on the unit sphere by branch and bound.
 
-    H(x) = sum_k x_k C_k is sqrt(1 + gram_defect)-Lipschitz in operator norm,
-    and by Weyl's inequality so is sigma_3.  H(-x) = -H(x), so the cube faces
-    x_k = +1 (k = 1..c), projected onto the sphere, are enough.  A cell with
-    centre u and half-widths h is certified when sigma_3(u/|u|) - ZERO_ATOL
-    exceeds the Lipschitz constant times its chordal radius, bounded by
-    |h| / sqrt(m |u|) with m the smallest norm in the cell (from
-    |a/|a| - b/|b||^2 <= |a - b|^2 / (|a| |b|)).  Open cells are bisected
-    along their longest side, one batched eigensolve per level.  For c = 1 the
-    one face is a single point of radius 0, certified exactly when its
-    sigma_3 exceeds ZERO_ATOL.  Returns the certificate; else the unit
-    coordinates of the first centre of least sigma_3 once one has sigma_3 <=
-    ZERO_ATOL; else None when the next level would exceed COVER_BUDGET points.
+    H(x) = sum_k x_k C_k is sqrt(1 + |G - I|_HS)-Lipschitz in operator norm, G
+    the basis's Gram matrix, and by Weyl's inequality so is sigma_3.  H(-x) =
+    -H(x), so the cube faces x_k = +1 (k = 1..c), projected onto the sphere,
+    are enough.  A cell with centre u and half-widths h is certified when
+    sigma_3(u/|u|) - ZERO_ATOL exceeds the Lipschitz constant times its
+    chordal radius, bounded by |h| / sqrt(m |u|) with m the smallest norm in
+    the cell (from |a/|a| - b/|b||^2 <= |a - b|^2 / (|a| |b|)).  Open cells
+    are bisected along their longest side, one batched eigensolve per level.
+    For c = 1 the one face is a single point of radius 0.  Returns the
+    certificate; else the :func:`_witness` candidate of the first centre of
+    least sigma_3 once one has sigma_3 <= ZERO_ATOL; else None when the next
+    level would exceed COVER_BUDGET points, the cover's only limit (c > COVER_BUDGET
+    returns before the Gram matrix or any solve).
     """
     c = len(basis)
-    lipschitz = math.sqrt(1 + gram_defect)
     centre, half = np.eye(c), 1.0 - np.eye(c)
-    points, low = 0, math.inf
+    points, low, lipschitz = 0, math.inf, None
     while True:
         if points + len(centre) > COVER_BUDGET:
             return None
@@ -425,7 +401,11 @@ def _cover(basis: np.ndarray, gram_defect: float) -> dict | np.ndarray | None:
         points += len(centre)
         low = min(low, float(s3.min()))
         if low <= ZERO_ATOL:
-            return unit[np.argmin(s3)]
+            x = unit[np.argmin(s3)]
+            return _witness(basis, np.linalg.eigh(np.einsum("k,kij->ij", x, basis))[1])
+        if lipschitz is None:
+            gram = np.einsum("iab,jab->ij", basis.conj(), basis).real - np.eye(c)
+            lipschitz = math.sqrt(1 + hs_norm(gram))
         nearest = np.maximum(np.abs(centre) - half, 0.0)
         radius = lipschitz * np.sqrt(
             np.einsum("ij,ij->i", half, half)
@@ -446,36 +426,31 @@ def _cover(basis: np.ndarray, gram_defect: float) -> dict | np.ndarray | None:
 def check_pic(povm: Povm, settings: FalsifierSettings | None = None) -> PicVerdict:
     """Decide pure-state informational completeness.
 
-    Empty complement certifies immediately.  A nonzero complement of dimension
-    c is certified when a Lipschitz cover of its unit sphere within
+    Empty complement certifies immediately.  Every nonzero complement of
+    dimension c is certified when a Lipschitz cover of its unit sphere within
     COVER_BUDGET points keeps the third-largest |eigenvalue| above ZERO_ATOL;
     the verdict then carries the cover's certificate (one point when c = 1).
     A centre where that value is at most ZERO_ATOL is an operator of rank at
     most two, and its top and bottom eigenvectors are the witness pair once
     their difference passes the falsifier's residual test against the span.
-    Otherwise, or when no cover of c dimensions fits the budget, the
-    falsifier searches the same (traceless) complement basis; failure to find
-    a witness is reported as unfalsified, not as a proof.
+    Otherwise, or when the budget runs out, the falsifier searches the same
+    (traceless) basis; failure to find a witness is unfalsified, not a proof.
     """
     return _pic_verdict(operator_span(povm), settings)
 
 
 def _pic_verdict(span: OperatorSubspace, settings: FalsifierSettings | None) -> PicVerdict:
-    """The decision of :func:`check_pic`, taken on an already computed span."""
+    """:func:`check_pic` on a computed span: the cover's certificate or witness, else _search."""
     settings = settings or FalsifierSettings()
     comp_dim = span.dim_h ** 2 - span.dim
     if comp_dim == 0:
         return PicVerdict(PIC_CERTIFIED, 0)
-    basis, gram_defect = _complement_basis(span)
+    basis = _complement_basis(span)
     if not len(basis):  # the span holds every traceless operator
         return PicVerdict(PIC_CERTIFIED, comp_dim)
-    found = None
-    if len(basis) <= _largest_coverable_dim(COVER_BUDGET):
-        centre = _cover(basis, gram_defect)
-        if isinstance(centre, dict):
-            return PicVerdict(PIC_CERTIFIED, comp_dim, certificate=centre)
-        if centre is not None:  # an element of rank <= 2
-            found = _witness(basis, np.linalg.eigh(np.einsum("k,kij->ij", centre, basis))[1])
+    found = _cover(basis)
+    if isinstance(found, dict):
+        return PicVerdict(PIC_CERTIFIED, comp_dim, certificate=found)
     if found is None or found.residual ** 2 >= settings.witness_threshold:
         found = _search(basis, settings)
     if found.residual ** 2 >= settings.witness_threshold:
@@ -514,9 +489,10 @@ def povm_from_json(data: dict) -> Povm:
     povm = Povm(dim, outcomes)
     report = validate(povm)
     if not report.passed:
+        what = "the effects do not sum to the identity" if report.worst_label is None else (
+            f"outcome {report.worst_label!r} fails validation")
         raise DomainError(
-            f"outcome {report.worst_label!r} fails validation "
-            f"(hermiticity {report.hermiticity_defect:.2e}, "
+            f"{what} (hermiticity {report.hermiticity_defect:.2e}, "
             f"min eigenvalue {report.min_eigenvalue:.2e}, "
             f"normalization {report.normalization_defect:.2e})"
         )

@@ -284,7 +284,7 @@ class TestAnalyze:
         assert pic["certificate"]["min_sigma3"] == pytest.approx(0.5, abs=1e-12)
 
     def test_certificate_only_when_the_verdict_has_one(self, tmp_path, capsys):
-        # c = 8: no cover fits the budget, and the falsifier finds a witness
+        # c = 8: the cover's first level holds a rank-2 element, a witness without a certificate
         out = tmp_path / "mixed.json"
         run_cli(capsys, "construct", "wh", "--dim", "3", "--mixed", "-o", str(out))
         _, report, _ = run_cli(capsys, "analyze", str(out), "--pic")

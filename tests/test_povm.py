@@ -72,6 +72,10 @@ class TestValidate:
         assert report.hermiticity_defect < 1e-10
         assert report.min_eigenvalue > -1e-10
         assert report.normalization_defect < 1e-10
+        # the batched pass reproduces the per-outcome defects exactly
+        defects = [linalg.psd_defects(op) for op in quat3_observable.ops]
+        assert report.hermiticity_defect == max(herm for herm, _ in defects)
+        assert report.min_eigenvalue == min(low for _, low in defects)
 
     def test_rescaled_operators_fail_normalization(self, quat3_observable):
         scaled = pv.Povm(
@@ -491,11 +495,11 @@ class TestCover:
     search, ``_search``; ``falsify`` recomputes that basis from the span.
     """
 
-    @pytest.mark.parametrize("name, comp_dim", [("cond1", 2), ("cond2", 5)])
+    @pytest.mark.parametrize("name, comp_dim", [("cond1", 2), ("cond2", 5), ("identity-d3", 8)])
     def test_rank_two_basis_element_is_a_witness_at_the_first_level(self, monkeypatch, name,
                                                                     comp_dim):
-        # the complement's basis holds an element of rank 2 (cond1's second, cond2's first),
-        # a centre of the cover's first level, so sigma_3 vanishes there
+        # the complement's basis holds an element of rank 2 (cond1's second, cond2's fourth,
+        # identity-d3's third), a centre of the cover's first level, so sigma_3 vanishes there
         povm = NOT_CERTIFIED[name]()
 
         def no_search(*args):
@@ -509,7 +513,7 @@ class TestCover:
         assert np.abs(p1 - p2).max() < 1e-12
 
     @pytest.mark.parametrize("name, comp_dim", [
-        ("planted-extra-d3", 2), ("planted-extra-d4", 2), ("identity-d3", 8),
+        ("planted-extra-d3", 2), ("planted-extra-d4", 2),
     ])
     def test_low_rank_complements_go_to_the_untouched_falsifier(self, monkeypatch, name, comp_dim):
         povm = NOT_CERTIFIED[name]()
@@ -550,22 +554,31 @@ class TestCover:
         span = pv.operator_span(povm)
         verdict = pv.check_pic(povm)
         assert verdict.status == pv.PIC_CERTIFIED
-        basis = pv._complement_basis(span)[0]
+        basis = pv._complement_basis(span)
         x = np.random.default_rng(17).standard_normal((10 ** 4, len(basis)))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         h = np.einsum("nk,kij->nij", x, basis)
         third = np.linalg.svd(h, compute_uv=False)[:, 2]
         assert third.min() > linalg.ZERO_ATOL
 
-    def test_cover_is_skipped_where_it_cannot_certify(self, monkeypatch):
-        # for c = 8 no cover fits 256 points
-        assert pv._largest_coverable_dim(pv.COVER_BUDGET) == 7
+    def test_the_budget_is_the_only_limit_of_the_cover(self, monkeypatch):
+        sigma3, rows = pv.sigma3, []
+        monkeypatch.setattr(pv, "sigma3", lambda basis, x: rows.append(len(x)) or sigma3(basis, x))
+        for d, comp_dim in [(3, 8), (5, 24)]:
+            rows.clear()
+            verdict = pv._pic_verdict(pv.operator_span(single_identity_povm(d)), None)
+            assert verdict.complement_dim == comp_dim
+            assert 0 < sum(rows) <= pv.COVER_BUDGET
+        # c = 300: the first level alone exceeds the budget, so nothing is evaluated
 
-        def no_cover(*args):
-            raise AssertionError("the cover ran")
+        def no_gram(*args):
+            raise AssertionError("a Gram matrix was built")
 
-        monkeypatch.setattr(pv, "_cover", no_cover)
-        assert pv.check_pic(single_identity_povm(3)).complement_dim == 8
+        monkeypatch.setattr(pv, "hs_norm", no_gram)
+        rows.clear()
+        basis = linalg.orthogonal_complement(linalg.span_orthonormalize([np.eye(18)])).basis
+        assert pv._cover(basis[:300]) is None
+        assert rows == []
 
     @pytest.mark.parametrize("effects, comp_dim", [
         (lambda p: [np.eye(2)], 3),
@@ -631,6 +644,20 @@ class TestJson:
         with pytest.raises(DomainError) as err:
             pv.povm_from_json(bad)
         assert "rest" in str(err.value)
+
+    def test_failing_outcome_named_over_a_later_passing_one(self):
+        # 'ok' has the larger hermiticity defect, within ATOL; 'bad' dips negative
+        ok = np.diag([0.5, 1.0]).astype(complex)
+        ok[0, 1] = 1e-12
+        doc = pv.povm_to_json(pv.Povm(2, [("bad", np.diag([0.501, -0.001])), ("ok", ok)]))
+        with pytest.raises(DomainError, match="outcome 'bad' fails validation"):
+            pv.povm_from_json(doc)
+
+    def test_normalization_failure_names_no_outcome(self, quat3_observable):
+        scaled = pv.Povm(3, [(l, 1.01 * op) for l, op in quat3_observable.outcomes])
+        assert pv.validate(scaled).worst_label is None
+        with pytest.raises(DomainError, match="^the effects do not sum to the identity"):
+            pv.povm_from_json(pv.povm_to_json(scaled))
 
     def test_missing_fields_rejected(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,14 @@
-"""One product-rule pass: a representation is validated once, in ``rep_from_matrices``.
+"""One reader per rule: one product-rule pass, and one budget rule for the cover.
 
 Each module of the package is parsed, and every name or attribute that reads
-``_product_blocks``, ``_scan`` or ``_generator_route`` is charged to the
-top-level function or class that holds it (``<module>`` at module level).
+``_product_blocks``, ``_scan``, ``_generator_route`` or ``COVER_BUDGET`` is
+charged to the top-level function or class that holds it (``<module>`` at
+module level).  A representation is validated once, in ``rep_from_matrices``:
 ``_product_blocks`` may be read by ``rep._scan`` and ``rep._generator_route``
 only, and those two by ``rep.rep_from_matrices`` only.  Everything after
 validation reads the bounds that call kept, so a second pass fails the test.
+``COVER_BUDGET`` is defined at ``povm``'s module level and read by
+``povm._cover`` only, so a second rule limiting the cover fails it too.
 """
 
 import ast
@@ -20,10 +23,11 @@ READERS = {
     "_product_blocks": {("rep.py", "_scan"), ("rep.py", "_generator_route")},
     "_scan": {("rep.py", "rep_from_matrices")},
     "_generator_route": {("rep.py", "rep_from_matrices")},
+    "COVER_BUDGET": {("povm.py", "<module>"), ("povm.py", "_cover")},
 }
 
 
-def product_rule_reads(path: Path):
+def rule_reads(path: Path):
     """(line, name, holder) for every read of a name of ``READERS`` in the module."""
     found = []
     for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -40,16 +44,17 @@ def test_only_rep_from_matrices_runs_the_product_rule():
     stray = [
         f"{path.name}:{line} {holder} reads {name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for line, name, holder in product_rule_reads(path)
+        for line, name, holder in rule_reads(path)
         if (path.name, holder) not in READERS[name]
     ]
-    assert not stray, "product rule run outside rep_from_matrices: " + ", ".join(stray)
+    assert not stray, "rule read outside its readers: " + ", ".join(stray)
 
 
 def test_guard_sees_the_routes():
     # the allowed reads exist, so the guard is looking at the right names
-    reads = {(name, holder) for _, name, holder in product_rule_reads(PACKAGE / "rep.py")}
-    assert reads == {(name, holder) for name, allowed in READERS.items() for _, holder in allowed}
+    reads = {(name, (module, holder)) for module in ("rep.py", "povm.py")
+             for _, name, holder in rule_reads(PACKAGE / module)}
+    assert reads == {(name, place) for name, allowed in READERS.items() for place in allowed}
 
 
 def test_guard_sees_each_form(tmp_path):
@@ -68,7 +73,7 @@ def test_guard_sees_each_form(tmp_path):
         "    return 'the _scan docstring is no read'\n",
         encoding="utf-8",
     )
-    assert product_rule_reads(sample) == [
+    assert rule_reads(sample) == [
         (2, "_product_blocks", "_scan"), (4, "_generator_route", "helper"),
         (7, "_product_blocks", "Checker"), (9, "_scan", "<module>"),
     ]
