@@ -495,7 +495,9 @@ class TestCover:
     search, ``_search``; ``falsify`` recomputes that basis from the span.
     """
 
-    @pytest.mark.parametrize("name, comp_dim", [("cond1", 2), ("cond2", 5), ("identity-d3", 8)])
+    @pytest.mark.parametrize("name, comp_dim", [
+        ("cond1", 2), ("cond2", 5), pytest.param("identity-d3", 8, id="identity-d3"),
+    ])
     def test_rank_two_basis_element_is_a_witness_at_the_first_level(self, monkeypatch, name,
                                                                     comp_dim):
         # the complement's basis holds an element of rank 2 (cond1's second, cond2's fourth,
