@@ -244,7 +244,7 @@ def abelian_obstruction_certificate(rep: rp.ProjectiveRep):
 class FalsifierSettings:
     """Restarts and seed of the witness search, the two values its callers vary.
 
-    Checked once, at construction: at least one restart and a non-negative seed.
+    Checked once, at construction: integers, at least one restart and a non-negative seed.
     The BFGS steps per restart and the two thresholds are class constants.
     """
 
@@ -257,6 +257,9 @@ class FalsifierSettings:
     floor: ClassVar[float] = 1e-26
 
     def __post_init__(self):
+        for name, value in (("restarts", self.restarts), ("rng_seed", self.rng_seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"the falsifier's {name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise DomainError(f"the falsifier needs at least one restart, got {self.restarts}")
         if self.rng_seed < 0:

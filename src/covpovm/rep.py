@@ -122,7 +122,7 @@ def rep_from_matrices(group: grp.FiniteGroup, matrices) -> ProjectiveRep:
 
     A table that fits one block of :func:`_product_blocks` is checked on
     every pair in one pass (the full scan).  A larger one is checked on the
-    identity row and the rows of the greedy generating set S only, and every
+    identity row and the rows of the group's generators S only, and every
     other row is derived along the word tree of S (:func:`_word_tree`) by
     omega(s g', h) = omega(s, g'h) omega(g', h) / omega(s, g').  With e the
     largest generator-row residual, f = max |U*U - I| and
@@ -198,19 +198,18 @@ def _scan(group: grp.FiniteGroup, stack: np.ndarray) -> tuple:
 
 
 def _word_tree(group: grp.FiniteGroup) -> tuple:
-    """Greedy generators S and their breadth-first word tree, built once per group.
+    """The breadth-first word tree of S = ``group.generators``, built once per group.
 
-    Returns ``(gens, layers)``.  Layer 1 of the tree is S; ``layers`` holds
-    layers 2, 3, ... as ``(elements, generators, parents)`` index arrays with
-    element = generator * parent and each parent in the layer before, so
-    every element has a word s_1 ... s_k e.  Kept on the group beside its
+    Returns ``(gens, layers)``: S as an index array, layer 1 of the tree,
+    and layers 2, 3, ... as ``(elements, generators, parents)`` index arrays
+    with element = generator * parent and each parent in the layer before,
+    so every element has a word s_1 ... s_k e.  Kept on the group beside its
     dual.
     """
     if group._words is None:
-        gens = np.array(_generating_set(group), dtype=int)
+        gens = np.array(group.generators, dtype=int)
         reached = np.zeros(group.order, dtype=bool)
-        reached[group.identity] = True
-        reached[gens] = True
+        reached[[group.identity, *gens]] = True
         layers, frontier = [], gens
         while not reached.all():
             prods = group.mul[gens[:, None], frontier]          # [s, p] -> s p
@@ -789,24 +788,6 @@ def _coboundary(group: grp.FiniteGroup, f: np.ndarray) -> np.ndarray:
     return f[:, None] * f[None, :] * np.conj(f[group.mul])
 
 
-def _generating_set(group: grp.FiniteGroup) -> list:
-    """Greedy generators: each element outside the subgroup of the earlier ones.
-
-    Every addition at least doubles the generated subgroup, so at most
-    log2 #G elements are taken.
-    """
-    gens = []
-    members = np.zeros(group.order, dtype=bool)
-    members[group.identity] = True
-    for a in range(group.order):
-        if not members[a]:
-            gens.append(a)
-            # the subgroup so far and a, closed under products
-            members[a] = True
-            grp._closure(group, members)
-    return gens
-
-
 def _cycle_eigenspaces(group: grp.FiniteGroup, omega: np.ndarray, a: int) -> list:
     """Eigenspaces of L(a) e_h = conj(omega(a, h)) e_{ah} in phase order, in closed form.
 
@@ -848,7 +829,7 @@ def is_exact_multiplier(rep: ProjectiveRep):
     of sum_h f(h) e_h with eigenvalues conj(f); conversely a common
     eigenvector v with L(g) v = lambda(g) v gives
     omega(a, b) = lambda(ab) / (lambda(a) lambda(b)).  Eigenlines are sought
-    on the greedy generating set only, since L(g) of any product is a scalar
+    on ``group.generators`` only, since L(g) of any product is a scalar
     times a product of generator matrices.  Each generator's eigenspaces are
     read off its cycles in closed form (:func:`_cycle_eigenspaces`), and the
     spaces are intersected generator by generator through :func:`_refine`.
@@ -861,7 +842,7 @@ def is_exact_multiplier(rep: ProjectiveRep):
     if rep.is_unitary_rep():
         return True, np.ones(n, dtype=complex)
     spaces = [np.eye(n, dtype=complex)]
-    for k, a in enumerate(_word_tree(group)[0]):
+    for k, a in enumerate(group.generators):
         eigs = _cycle_eigenspaces(group, omega, a)
         spaces = _refine(spaces, eigs) if k else eigs
         if not spaces:

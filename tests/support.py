@@ -292,14 +292,28 @@ def reference_joint_eigenspaces(matrices):
     return spaces
 
 
+def relabelled_table(mul, seed):
+    """The table ``mul`` with its elements renamed by a seeded permutation."""
+    n = len(mul)
+    perm = np.random.default_rng(seed).permutation(n)
+    table = np.empty((n, n), dtype=int)
+    table[perm[:, None], perm[None, :]] = perm[mul]
+    return table
+
+
 def relabelled_cyclic6():
     """Z6 as a table whose identity is not element 0."""
-    perm = np.random.default_rng(6).permutation(6)
-    table = np.empty((6, 6), dtype=int)
-    table[perm[:, None], perm[None, :]] = perm[grp.cyclic_group(6).mul]
+    table = relabelled_table(grp.cyclic_group(6).mul, 6)
     g = grp.FiniteGroup(tuple(str(k) for k in range(6)), table)
     assert g.identity != 0
     return g
+
+
+def reference_is_associative(mul):
+    """(ab)c = a(bc) on every triple, as one (n, n, n) comparison."""
+    mul = np.asarray(mul)
+    # mul[mul][a, b, c] = (ab)c and mul[:, mul][a, b, c] = a(bc)
+    return bool(np.all(mul[mul, :] == mul[:, mul]))
 
 
 def reference_subgroup(g, gens):

@@ -4,7 +4,39 @@ import pytest
 from covpovm import group as grp
 from covpovm.errors import DomainError
 
-from support import reference_subgroup, relabelled_cyclic6
+from support import (
+    order8_groups, reference_is_associative, reference_subgroup, relabelled_cyclic6,
+    relabelled_table,
+)
+
+# a Latin square with two-sided identity that fails associativity
+L5 = np.array([
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+])
+
+
+def loop_times_cyclic(k):
+    """L5 x Z_k, with (a, b) at index a * k + b as in ``product_group``."""
+    a, b = np.arange(5 * k) // k, np.arange(5 * k) % k
+    return L5[np.ix_(a, a)] * k + grp.cyclic_group(k).mul[np.ix_(b, b)]
+
+
+def light_tables():
+    """[name] -> (table, associative): the order-8 groups, relabelled groups and L5 x Z_k."""
+    tables = {name: (g.mul, True) for name, g in order8_groups().items()}
+    for kind in ("cyclic:6", "product(cyclic:5,cyclic:5)", "product(quaternion,cyclic:3)"):
+        for seed in (1, 2):
+            tables[f"{kind}-relabelled{seed}"] = (relabelled_table(grp.build_group(kind).mul, seed), True)
+    for k in (1, 2, 13):
+        tables[f"l5xz{k}"] = (loop_times_cyclic(k), False)
+    return tables
+
+
+LIGHT_TABLES = light_tables()
 
 
 @pytest.fixture(scope="module")
@@ -15,16 +47,6 @@ def quaternion():
 @pytest.fixture(scope="module")
 def dihedral():
     return grp.dihedral8_group()
-
-
-def order8_groups():
-    return {
-        "cyclic:8": grp.cyclic_group(8),
-        "z2xz4": grp.product_group(grp.cyclic_group(2), grp.cyclic_group(4)),
-        "z2xz2xz2": grp.build_group("product(cyclic:2,cyclic:2,cyclic:2)"),
-        "quaternion": grp.quaternion_group(),
-        "dihedral8": grp.dihedral8_group(),
-    }
 
 
 class TestBuilders:
@@ -117,14 +139,31 @@ class TestSubgroups:
             grp.Subgroup(quaternion, (0, quaternion.index_of("i")))
 
     @pytest.mark.parametrize("members, message", [
-        ((0, 8), "element index 8 out of range"),
-        ((2, 3), "missing the identity"),                         # {i, -i}
-        ((0, 2), "not closed under inversion"),                   # {1, i}
-        ((0, 2, 3, 4, 5), "not closed under the product"),        # {1, i, -i, j, -j}
+        pytest.param((0, 8), "element index 8 out of range",
+                     id="members0-element index 8 out of range"),
+        pytest.param((2, 3), "missing the identity",              # {i, -i}
+                     id="members1-missing the identity"),
+        pytest.param((0, 2, 3, 4, 5), "not closed under the product",   # {1, i, -i, j, -j}
+                     id="members3-not closed under the product"),
     ])
     def test_each_subgroup_check_names_its_failure(self, quaternion, members, message):
         with pytest.raises(DomainError, match=message):
             grp.Subgroup(quaternion, members)
+
+    def test_non_integer_member_rejected(self):
+        with pytest.raises(DomainError, match="member 2.7 is not an element index"):
+            grp.Subgroup(grp.cyclic_group(4), (0, 2.7))
+
+    @pytest.mark.parametrize("generator", [1.9, True])
+    def test_non_integer_generator_rejected(self, generator):
+        with pytest.raises(DomainError, match=f"generator {generator!r} is not an element index"):
+            grp.subgroup_generated(grp.cyclic_group(4), [generator])
+
+    def test_numpy_integer_indices_accepted(self):
+        g = grp.cyclic_group(4)
+        even = np.flatnonzero(np.arange(4) % 2 == 0)
+        assert grp.Subgroup(g, tuple(even)).members == (0, 2)
+        assert grp.subgroup_generated(g, even[1:]).members == (0, 2)
 
 
 class TestCosets:
@@ -188,13 +227,32 @@ class TestValidationAndJson:
             grp.FiniteGroup(("e", "a"), np.array([[0, 0], [1, 1]]))
 
     def test_non_associative_table_rejected(self):
-        # a Latin square with two-sided identity that fails associativity
-        table = np.array([
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ])
         with pytest.raises(DomainError):
-            grp.FiniteGroup(tuple("eabcd"), table)
+            grp.FiniteGroup(tuple("eabcd"), L5)
+
+    @pytest.mark.parametrize("name", sorted(LIGHT_TABLES))
+    def test_accepts_exactly_the_associative_tables(self, name):
+        # Light's test on the generators against the (n, n, n) reference, at
+        # every order: L5 x Z_13 has order 65
+        table, associative = LIGHT_TABLES[name]
+        assert reference_is_associative(table) == associative
+        names = tuple(str(k) for k in range(len(table)))
+        if associative:
+            assert np.array_equal(grp.FiniteGroup(names, table).mul, table)
+        else:
+            with pytest.raises(DomainError, match="table is not associative"):
+                grp.FiniteGroup(names, table)
+
+    @pytest.mark.parametrize("table, entry", [
+        pytest.param([[0, 1], [1, 0.7]], "0.7", id="fraction"),
+        pytest.param([[0.0, 1.0], [1.0, 0.0]], "0.0", id="integral-float"),
+        pytest.param(np.array([[0, 1], [1, 0]], dtype=float), "0.0", id="float-array"),
+        pytest.param([[True, False], [False, True]], "True", id="bool"),
+    ])
+    def test_non_integer_table_rejected(self, table, entry):
+        with pytest.raises(DomainError, match=f"table entry {entry} is not an integer"):
+            grp.FiniteGroup(("e", "a"), table)
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(DomainError, match="are not distinct"):
+            grp.FiniteGroup(("e", "e"), [[0, 1], [1, 0]])

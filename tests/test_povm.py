@@ -300,6 +300,17 @@ class TestFalsifier:
         with pytest.raises(DomainError, match="non-negative"):
             pv.falsify(span, pv.FalsifierSettings(rng_seed=seed))
 
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 2.5), ("restarts", True), ("rng_seed", 0.5), ("rng_seed", "1"),
+    ])
+    def test_non_integer_setting_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"falsifier's {field} must be an integer, got {value!r}"):
+            pv.FalsifierSettings(**{field: value})
+
+    def test_numpy_integer_settings_accepted(self):
+        settings = pv.FalsifierSettings(restarts=np.int64(2), rng_seed=np.int64(3))
+        assert pv.falsify(pv.operator_span(single_identity_povm(3)), settings).restart < 2
+
     def test_codim2_has_no_witness(self):
         # every unit element of the complement has eigenvalues +-1/2 twice, so g
         # is constant on the sphere and each restart ends at its first step

@@ -1,14 +1,17 @@
-"""One reader per rule: one product-rule pass, and one budget rule for the cover.
+"""One reader per rule: one product-rule pass, one budget rule for the cover, one closure.
 
 Each module of the package is parsed, and every name or attribute that reads
-``_product_blocks``, ``_scan``, ``_generator_route`` or ``COVER_BUDGET`` is
-charged to the top-level function or class that holds it (``<module>`` at
-module level).  A representation is validated once, in ``rep_from_matrices``:
+``_product_blocks``, ``_scan``, ``_generator_route``, ``COVER_BUDGET`` or
+``_closure`` is charged to the top-level function or class that holds it
+(``<module>`` at module level).  A representation is validated once, in ``rep_from_matrices``:
 ``_product_blocks`` may be read by ``rep._scan`` and ``rep._generator_route``
 only, and those two by ``rep.rep_from_matrices`` only.  Everything after
 validation reads the bounds that call kept, so a second pass fails the test.
 ``COVER_BUDGET`` is defined at ``povm``'s module level and read by
 ``povm._cover`` only, so a second rule limiting the cover fails it too.
+``group._closure`` is read by ``FiniteGroup``, which builds the generating
+set once, and ``subgroup_generated`` only, so a second generating-set routine
+outside the group layer fails it as well.
 """
 
 import ast
@@ -24,6 +27,7 @@ READERS = {
     "_scan": {("rep.py", "rep_from_matrices")},
     "_generator_route": {("rep.py", "rep_from_matrices")},
     "COVER_BUDGET": {("povm.py", "<module>"), ("povm.py", "_cover")},
+    "_closure": {("group.py", "FiniteGroup"), ("group.py", "subgroup_generated")},
 }
 
 
@@ -52,7 +56,7 @@ def test_only_rep_from_matrices_runs_the_product_rule():
 
 def test_guard_sees_the_routes():
     # the allowed reads exist, so the guard is looking at the right names
-    reads = {(name, (module, holder)) for module in ("rep.py", "povm.py")
+    reads = {(name, (module, holder)) for module in ("rep.py", "povm.py", "group.py")
              for _, name, holder in rule_reads(PACKAGE / module)}
     assert reads == {(name, place) for name, allowed in READERS.items() for place in allowed}
 

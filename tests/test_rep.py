@@ -354,8 +354,9 @@ class TestRepFromMatrices:
         rp.rep_from_matrices(g, wh_matrices(5))
         words = g._words
         assert words is not None
-        monkeypatch.setattr(rp, "_generating_set", lambda group: pytest.fail("S rebuilt"))
-        rep = rp.rep_from_matrices(g, self.rotated_wh5(np.random.default_rng(3))[1])
+        mats = self.rotated_wh5(np.random.default_rng(3))[1]
+        monkeypatch.setattr(grp, "_closure", lambda group, members: pytest.fail("S rebuilt"))
+        rep = rp.rep_from_matrices(g, mats)
         assert g._words is words
         assert not rep.is_unitary_rep()
 
@@ -366,7 +367,7 @@ class TestRepFromMatrices:
     def test_word_tree_reaches_every_element_once(self, kind):
         g = grp.build_group(kind)
         gens, layers = rp._word_tree(g)
-        assert gens.tolist() == rp._generating_set(g)
+        assert tuple(gens.tolist()) == g.generators
         seen = [g.identity, *gens.tolist()]
         previous = set(gens.tolist())
         for elements, s, parents in layers:
@@ -1216,7 +1217,7 @@ def twisted_case(name, seed):
 def twisted_regular_generators(rep):
     """L(a) e_h = conj(omega(a, h)) e_{ah} on the greedy generators, as the exactness test builds them."""
     group, n = rep.group, rep.group.order
-    gens = rp._generating_set(group)
+    gens = list(group.generators)
     out = np.zeros((len(gens), n, n), dtype=complex)
     out[np.arange(len(gens))[:, None], group.mul[gens], np.arange(n)] = np.conj(rep.multiplier[gens])
     return out
@@ -1228,8 +1229,7 @@ def test_cycle_eigenspaces_match_the_eig_route(family, seed):
     # the closed form on each generator's cycles against eig and QR on the
     # dense twisted regular generator: in phase order and in projectors
     rep = twisted_case(family, seed)
-    gens = rp._generating_set(rep.group)
-    for a, mat in zip(gens, twisted_regular_generators(rep)):
+    for a, mat in zip(rep.group.generators, twisted_regular_generators(rep)):
         spaces = rp._cycle_eigenspaces(rep.group, rep.multiplier, a)
         reference = reference_eigenspaces(mat)
         assert [s.shape for s in spaces] == [r.shape for r in reference]
@@ -1248,7 +1248,15 @@ class TestExactMultiplier:
         catalog = list(order8_groups().values()) + [grp.build_group(k) for k in kinds]
         catalog.append(relabelled_cyclic6())
         for g in catalog:
-            assert rp._generating_set(g) == reference_generating_set(g)
+            assert g.generators == tuple(reference_generating_set(g))
+
+    def test_one_block_table_builds_no_word_tree(self):
+        # a one-block table is validated by the full scan, and the exactness
+        # test reads the group's generators, so neither builds the word tree
+        rep = twisted_case("q8c3", 0)
+        assert rp._block_rows(24, 24 * 4) == 24
+        rp.is_exact_multiplier(rep)
+        assert rep.group._words is None
 
     def test_ordinary_rep_trivially_exact(self, quat3_rep):
         ok, f = rp.is_exact_multiplier(quat3_rep)
