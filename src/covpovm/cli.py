@@ -110,69 +110,56 @@ class _IoFailure(Exception):
 
 
 # --- construct -----------------------------------------------------------------
+# each kind's builder returns its observable, construction name and own report inputs
 
-def _cmd_construct(args) -> int:
+def _build_wh(args) -> tuple:
     from . import constructions as cx
 
+    if args.mixed:
+        seed = np.eye(args.dim, dtype=complex) / args.dim ** 2
+    else:
+        seed = cx.default_wh_seed(args.dim, args.rng_seed)
+    # the representation is not kept: its arrays are freed before the write
+    povm = cx.build_weyl_heisenberg(cx.WhParams(args.dim, seed, require_ic=not args.mixed))[0]
+    return povm, "weyl-heisenberg", {"dim": args.dim, "rng_seed": args.rng_seed,
+                                     "mixed": args.mixed}
+
+
+def _build_pic3(args) -> tuple:
+    from . import constructions as cx
+
+    params = cx.default_pic3_params("quaternion" if args.kind == "quat3" else "dihedral")
+    if args.alpha is not None:
+        params.alpha = tuple(_parse_floats(args.alpha, 3, "--alpha"))
+    if args.v is not None:
+        parts = _parse_floats(args.v, 4, "--v")
+        params.v = tuple(decode_complex([parts[:2], parts[2:]], "--v"))
+    povm = cx.build_pic3(params, enforce_conditions=not args.bypass_conditions)[0]
+    return povm, args.kind, {"alpha": list(params.alpha), "v": encode_complex(params.v),
+                             "bypass_conditions": args.bypass_conditions}
+
+
+def _build_rank1(args) -> tuple:
+    from . import constructions as cx
+
+    alpha = (1 / np.sqrt(192),) * 3
+    if args.alpha is not None:
+        alpha = tuple(_parse_floats(args.alpha, 3, "--alpha"))
+    povm = cx.build_rank1_pic3(args.gamma, alpha)
+    return povm, "rank1", {"gamma": args.gamma, "alpha": list(alpha)}
+
+
+def _cmd_construct(args) -> int:
+    # every kind takes --rng-seed, and checks it whether or not it draws a seed
     if args.rng_seed < 0:
         raise DomainError(f"the rng seed must be non-negative, got {args.rng_seed}")
-    inputs: dict = {"kind": args.kind, "out": args.out}
-    if args.kind == "wh":
-        if args.dim is None:
-            raise CovPovmError("construct wh needs --dim")
-        inputs.update(dim=args.dim, rng_seed=args.rng_seed, mixed=args.mixed)
-        if args.mixed:
-            seed = np.eye(args.dim, dtype=complex) / args.dim ** 2
-        else:
-            seed = cx.default_wh_seed(args.dim, args.rng_seed)
-        # the representation is not kept: its arrays are freed before the write
-        povm = cx.build_weyl_heisenberg(
-            cx.WhParams(args.dim, seed, require_ic=not args.mixed)
-        )[0]
-        provenance = {"construction": "weyl-heisenberg", "parameters": dict(inputs)}
-    elif args.kind in ("quat3", "dihedral3"):
-        choice = "quaternion" if args.kind == "quat3" else "dihedral"
-        params = cx.default_pic3_params(choice)
-        if args.alpha is not None:
-            params.alpha = tuple(_parse_floats(args.alpha, 3, "--alpha"))
-        if args.v is not None:
-            parts = _parse_floats(args.v, 4, "--v")
-            params.v = tuple(decode_complex([parts[:2], parts[2:]], "--v"))
-        inputs.update(
-            alpha=list(params.alpha),
-            v=encode_complex(params.v),
-            bypass_conditions=args.bypass_conditions,
-        )
-        povm, _rep, _t = cx.build_pic3(
-            params, enforce_conditions=not args.bypass_conditions
-        )
-        provenance = {"construction": args.kind, "parameters": dict(inputs)}
-    elif args.kind == "rank1":
-        alpha = (
-            tuple(_parse_floats(args.alpha, 3, "--alpha"))
-            if args.alpha is not None
-            else (1 / np.sqrt(192),) * 3
-        )
-        inputs.update(gamma=args.gamma, alpha=list(alpha))
-        povm = cx.build_rank1_pic3(args.gamma, alpha)
-        provenance = {"construction": "rank1", "parameters": dict(inputs)}
-    else:
-        raise CovPovmError(f"unknown construction kind {args.kind!r}")
-
+    povm, construction, own = args.build(args)
+    inputs = {"kind": args.kind, "out": args.out, **own}
     _write_povm(povm, args.out)
-    validation = pv.validate(povm)
-    span = pv.operator_span(povm)
-    report = Report(
-        command="construct",
-        inputs=inputs,
-        verdicts={
-            "outcomes": len(povm),
-            "dim": povm.dim,
-            "span_dim": span.dim,
-            "validation": _validation_dict(validation),
-        },
-        provenance=provenance,
-    )
+    verdicts = {"outcomes": len(povm), "dim": povm.dim, "span_dim": pv.operator_span(povm).dim,
+                "validation": _validation_dict(pv.validate(povm))}
+    provenance = {"construction": construction, "parameters": dict(inputs)}
+    report = Report(command="construct", inputs=inputs, verdicts=verdicts, provenance=provenance)
     _emit(report, f"wrote {len(povm)}-outcome observable to {args.out}")
     return 0
 
@@ -340,24 +327,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build an observable and write it to a file")
-    c.add_argument("kind", choices=["wh", "quat3", "dihedral3", "rank1"])
-    c.add_argument("-o", "--out", required=True, help="output POVM JSON path")
-    c.add_argument("--dim", type=int, default=None, help="dimension (wh only)")
-    c.add_argument("--rng-seed", type=int, default=0)
-    c.add_argument("--mixed", action="store_true",
-                   help="use the maximally mixed seed (wh only; not IC)")
-    c.add_argument("--alpha", default=None, help="comma-separated alpha components")
-    c.add_argument("--v", default=None, help="v as re1,im1,re2,im2 (quat3/dihedral3)")
-    c.add_argument("--gamma", type=_finite_float, default=0.0, help="phase (rank1 only)")
-    c.add_argument("--bypass-conditions", action="store_true",
-                   help="skip the parameter preconditions (quat3/dihedral3)")
-    c.set_defaults(func=_cmd_construct)
+    kinds = c.add_subparsers(dest="kind", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-o", "--out", required=True, help="output POVM JSON path")
+    common.add_argument("--rng-seed", type=int, default=0)
+
+    wh = kinds.add_parser("wh", parents=[common], help="d^2-outcome shift/clock observable")
+    wh.add_argument("--dim", type=int, required=True, help="dimension")
+    wh.add_argument("--mixed", action="store_true", help="use the maximally mixed seed (not IC)")
+    wh.set_defaults(func=_cmd_construct, build=_build_wh)
+
+    for kind, group in (("quat3", "quaternion"), ("dihedral3", "dihedral")):
+        k = kinds.add_parser(kind, parents=[common], help=f"8-outcome {group} observable, d = 3")
+        k.add_argument("--alpha", default=None, help="comma-separated alpha components")
+        k.add_argument("--v", default=None, help="v as re1,im1,re2,im2")
+        k.add_argument("--bypass-conditions", action="store_true",
+                       help="skip the parameter preconditions")
+        k.set_defaults(func=_cmd_construct, build=_build_pic3)
+
+    r = kinds.add_parser("rank1", parents=[common], help="rank-1 quaternion observable, d = 3")
+    r.add_argument("--alpha", default=None, help="comma-separated alpha components")
+    r.add_argument("--gamma", type=_finite_float, default=0.0, help="phase")
+    r.set_defaults(func=_cmd_construct, build=_build_rank1)
 
     a = sub.add_parser("analyze", help="analyze a POVM file")
     a.add_argument("file")
     a.add_argument("--pic", action="store_true", help="run the pure-state analysis")
-    a.add_argument("--rng-seed", type=int, default=0)
-    a.add_argument("--falsifier-restarts", type=int, default=64, help="witness-search starts")
+    a.add_argument("--rng-seed", type=int, default=pv.FalsifierSettings.rng_seed)
+    a.add_argument("--falsifier-restarts", type=int, default=pv.FalsifierSettings.restarts,
+                   help="witness-search starts")
     a.set_defaults(func=_cmd_analyze)
 
     g = sub.add_parser("group", help="inspect a group and its representations")
@@ -380,14 +378,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _IoFailure as exc:
+    except (_IoFailure, CovPovmError, NotImplementedError) as exc:
         print(str(exc), file=sys.stderr)
         print(json.dumps({"command": args.command, "error": str(exc)}, indent=2))
-        return 3
-    except (CovPovmError, NotImplementedError) as exc:
-        print(str(exc), file=sys.stderr)
-        print(json.dumps({"command": args.command, "error": str(exc)}, indent=2))
-        return 2
+        return 3 if isinstance(exc, _IoFailure) else 2
 
 
 if __name__ == "__main__":

@@ -195,8 +195,12 @@ class Pic3Params:
     """
 
     alpha: tuple = (1 / 32, 1 / 32, 1 / 32)
-    v: tuple = (1 / 32 + 0j, 0j)
+    v: tuple = None  # None: the group's default v, from _PIC3_GROUPS
     group_choice: str = "quaternion"
+
+    def __post_init__(self):  # in a list, an unhashable choice is just unknown: it raises on use
+        if self.v is None and self.group_choice in list(_PIC3_GROUPS):
+            self.v = _PIC3_GROUPS[self.group_choice][2]
 
 
 # group choice -> (group builder, 2x2 blocks pi(g), default v)
@@ -217,8 +221,8 @@ def _pic3_group(group_choice: str) -> tuple:
 
 
 def default_pic3_params(group_choice: str) -> Pic3Params:
-    _, _, v = _pic3_group(group_choice)
-    return Pic3Params(v=v, group_choice=group_choice)
+    _pic3_group(group_choice)  # an unknown choice raises here
+    return Pic3Params(group_choice=group_choice)
 
 
 def pic3_seed_matrix(params: Pic3Params) -> np.ndarray:
@@ -251,12 +255,12 @@ def pic3_rep(group_choice: str) -> rp.ProjectiveRep:
 def check_pic3_conditions(params: Pic3Params):
     """Raise PreconditionError naming the first violated condition."""
     a1, a2, a3 = params.alpha
-    v1, v2 = complex(params.v[0]), complex(params.v[1])
     if a1 == 0 or a2 == 0 or a3 == 0:
         raise PreconditionError(
             "cond:1", f"every alpha component must be nonzero, got {params.alpha}"
         )
     _pic3_group(params.group_choice)  # an unknown choice raises here
+    v1, v2 = complex(params.v[0]), complex(params.v[1])
     if params.group_choice == "quaternion":
         if v1 == 0 and v2 == 0:
             raise PreconditionError("cond:2", "v must be nonzero")

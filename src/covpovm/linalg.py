@@ -115,11 +115,15 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1], vecs[:, ::-1]
 
 
-def psd_defects(a) -> tuple[float, float]:
-    """HS norm of a - a^dag, and the smallest eigenvalue of a's Hermitian part."""
+def psd_defects(a) -> tuple:
+    """HS norm of a - a^dag and least eigenvalue of a's Hermitian part, per matrix of a stack."""
     a = np.asarray(a)
-    low = float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
-    return hs_norm(a - a.conj().T), low
+    adjoint = a.conj().swapaxes(-1, -2)
+    lows = np.linalg.eigvalsh((a + adjoint) / 2)[..., 0]
+    if a.ndim == 2:
+        return hs_norm(a - adjoint), float(lows)
+    # one hs_norm per matrix: a norm over the stack's last two axes rounds differently
+    return np.array([hs_norm(gap) for gap in a - adjoint]), lows
 
 
 def require_psd(a, what: str) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NotAnObservableError
 from .linalg import (
     ATOL, ZERO_ATOL, OperatorSubspace, as_matrix, decode_complex, encode_complex, hs_norm,
-    orthogonal_complement, require_psd, sigma3, span_orthonormalize,
+    orthogonal_complement, psd_defects, require_psd, sigma3, span_orthonormalize,
 )
 
 if TYPE_CHECKING:  # annotations only; rep and group load on first use
@@ -99,10 +99,8 @@ def validate(povm: Povm) -> PovmValidation:
     ``worst_label`` is the outcome of lowest eigenvalue if below -ATOL, else of
     largest hermiticity defect if above ATOL, else None (only the sum can fail).
     """
-    adjoint = povm.ops.conj().transpose(0, 2, 1)
-    defects = [hs_norm(a) for a in povm.ops - adjoint]
-    lows = np.linalg.eigvalsh((povm.ops + adjoint) / 2)[:, 0]
-    herm, min_eig = max(defects, default=0.0), float(lows.min(initial=np.inf))
+    defects, lows = psd_defects(povm.ops)
+    herm, min_eig = float(defects.max(initial=0.0)), float(lows.min(initial=np.inf))
     worst = None
     if min_eig < -ATOL:
         worst = povm.labels[np.argmin(lows)]

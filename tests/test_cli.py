@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -14,6 +15,37 @@ from covpovm import povm as pv
 from support import codim2_povm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the options each construction kind takes besides -o and --rng-seed
+KIND_OPTIONS = {
+    "wh": ["--dim", "--mixed"],
+    "quat3": ["--alpha", "--v", "--bypass-conditions"],
+    "dihedral3": ["--alpha", "--v", "--bypass-conditions"],
+    "rank1": ["--alpha", "--gamma"],
+}
+# each option with a well-formed value, and each kind's shortest valid argv
+OPTION_ARGV = {"--dim": ["--dim", "4"], "--mixed": ["--mixed"], "--alpha": ["--alpha", "1,2,3"],
+               "--v": ["--v", "1,2,3,4"], "--gamma": ["--gamma", "1"],
+               "--bypass-conditions": ["--bypass-conditions"]}
+KIND_ARGV = {"wh": ["wh", "--dim", "3"], "quat3": ["quat3"], "dihedral3": ["dihedral3"],
+             "rank1": ["rank1"]}
+# (a kind's argv, options of other kinds): each option alone, then three mixes
+FOREIGN_OPTIONS = [(KIND_ARGV[kind], OPTION_ARGV[option]) for kind, own in KIND_OPTIONS.items()
+                   for option in OPTION_ARGV if option not in own] + [
+    (["quat3"], ["--dim", "4", "--gamma", "3", "--mixed"]),
+    (["rank1"], ["--v", "1,2", "--dim", "9", "--mixed"]),
+    (KIND_ARGV["wh"], ["--alpha", "1,2,3", "--v", "1,2,3,4", "--gamma", "1",
+                       "--bypass-conditions"]),
+]
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def construct_parsers():
+    return subcommands(subcommands(cli.build_parser())["construct"])
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +190,51 @@ class TestConstruct:
         assert "unrecognized arguments: --lambda 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", KIND_OPTIONS)
+    def test_each_kind_takes_exactly_its_options(self, kind):
+        options = {opt for action in construct_parsers()[kind]._actions
+                   for opt in action.option_strings}
+        assert options == {"-h", "--help", "-o", "--out", "--rng-seed", *KIND_OPTIONS[kind]}
+
+    @pytest.mark.parametrize("argv, foreign", FOREIGN_OPTIONS,
+                             ids=[argv[0] + "".join(o for o in foreign if o.startswith("--"))
+                                  for argv, foreign in FOREIGN_OPTIONS])
+    def test_option_of_another_kind_exits_2(self, tmp_path, capsys, argv, foreign):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["construct", *argv, *foreign, "-o", str(out)])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(foreign)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wh_without_dim_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["construct", "wh", "-o", str(out)])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert "required: --dim" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", KIND_OPTIONS)
+    def test_every_construct_option_is_read(self, tmp_path, capsys, kind):
+        # an option its kind's builder ignores would be accepted with no effect
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        argv = ["construct", *KIND_ARGV[kind], "-o", str(tmp_path / "x.json")]
+        args = cli.build_parser().parse_args(argv, namespace=Recording())
+        reads.clear()
+        assert args.func(args) == 0
+        capsys.readouterr()
+        dests = {action.dest for action in construct_parsers()[kind]._actions
+                 if not isinstance(action, argparse._HelpAction)}
+        assert dests and dests <= reads
+
     def test_unwritable_path_exits_3(self, capsys):
         code, report, err = run_cli(
             capsys, "construct", "quat3", "-o", "/nonexistent-dir/x.json"
@@ -166,6 +243,11 @@ class TestConstruct:
 
 
 class TestAnalyze:
+    def test_falsifier_defaults_are_the_settings_defaults(self):
+        args = cli.build_parser().parse_args(["analyze", "f.json"])
+        settings = pv.FalsifierSettings()
+        assert (args.falsifier_restarts, args.rng_seed) == (settings.restarts, settings.rng_seed)
+
     def test_quat3_pic(self, tmp_path, capsys):
         out = tmp_path / "quat3.json"
         run_cli(capsys, "construct", "quat3", "-o", str(out))

@@ -172,6 +172,13 @@ class TestPic3:
             cx.build_pic3(params)
         assert err.value.condition == "cond:3"
 
+    @pytest.mark.parametrize("choice", ["quaternion", "dihedral"])
+    def test_params_without_v_take_the_group_default(self, choice):
+        params = cx.Pic3Params(group_choice=choice)
+        assert params.v == cx.default_pic3_params(choice).v
+        povm, _, _ = cx.build_pic3(params)
+        assert pv.check_pic(povm).status == pv.PIC_CERTIFIED
+
     def test_dihedral_equal_moduli_rejected(self):
         params = cx.Pic3Params(v=(1 / 32 + 0j, 1 / 32 + 0j), group_choice="dihedral")
         with pytest.raises(PreconditionError) as err:

@@ -241,6 +241,14 @@ class TestHermitianPsdCheck:
         defect, low = linalg.psd_defects(np.diag([1.0, 0.0]))
         assert defect == 0.0 and low == pytest.approx(0.0)
 
+    def test_a_stack_gives_each_matrix_its_own_defects(self):
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        defects, lows = linalg.psd_defects(stack)
+        assert defects.shape == lows.shape == (5,)
+        for a, defect, low in zip(stack, defects, lows):
+            assert (defect, low) == linalg.psd_defects(a)
+
     def test_tolerances_are_absolute(self):
         # a large PSD matrix with a 1e-8 antihermitian part is rejected, as a
         # small one is: the hermiticity bound does not scale with the norm
